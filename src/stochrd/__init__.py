@@ -46,12 +46,11 @@ from .model import (
     ZERO_PROFILE,
     canonical_cubic,
     check_g_tempered,
-    f_eval,
     g_eval,
     periodic_bump_forcing,
     validate_dissipativity,
 )
-from .solver import TrajectoryRecord, solve_u_direct, solve_u_transform, step_v
+from .solver import TrajectoryRecord, solve_u_direct, solve_u_transform
 from .cocycle import (
     CocycleQuery,
     cocycle_law_defect,
@@ -98,9 +97,9 @@ __all__ = [
     "Field", "FieldNorms", "Grid", "field_to_csv", "l2_distance", "laplacian",
     "norms", "read_field_block", "tail_mass", "write_field_block",
     "ForcingSpec", "ModelSpec", "Nonlinearity", "Profile", "ZERO_FORCING",
-    "ZERO_PROFILE", "canonical_cubic", "check_g_tempered", "f_eval", "g_eval",
+    "ZERO_PROFILE", "canonical_cubic", "check_g_tempered", "g_eval",
     "periodic_bump_forcing", "validate_dissipativity",
-    "TrajectoryRecord", "solve_u_direct", "solve_u_transform", "step_v",
+    "TrajectoryRecord", "solve_u_direct", "solve_u_transform",
     "CocycleQuery", "cocycle_law_defect", "energy_certificate",
     "h1_certificate", "periodic_cocycle_check", "phi", "phi_record",
     "phi_reference",

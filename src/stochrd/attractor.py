@@ -21,22 +21,28 @@ endpoint sets stop moving (symmetric Hausdorff distance below eps_att).
 Endpoint sets are deduplicated at a fixed resolution, which collapses
 the approximation to its distinct states (a single one for strongly
 contracting models).
+
+Every member of every horizon, and in a sweep every intensity, shares
+the anchor's path, grid and step, so one call integrates them all as a
+single column block of the solver core (horizons aligned at the anchor,
+the deepest starting first).  The tempered radius of the initial
+family is computed once per (intensity, horizon), not per member.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CalibrationError
+from .errors import CalibrationError, DivergenceError
 from .cocycle import CocycleQuery, phi
 from .fields import Field, Grid, l2_distance, norms, read_field_block, tail_mass, write_field_block
 from .model import ModelSpec
+from .solver import _Column, _integrate
 from .wiener import WienerPath, quad_exp, sample_two_sided_path, shift_path
 
 
@@ -244,22 +250,88 @@ class AttractorApprox:
         )
 
 
-def _endpoint_task(args) -> np.ndarray:
-    (spec, grid, tau, alpha, t, shifted, family, absorbing, dt, seed_key) = args
-    rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-    radius = family.radius_at(tau - t, shifted, alpha, spec, absorbing, grid)
-    u0 = sample_initial(family, grid, radius, rng)
-    out = phi(CocycleQuery(t, tau - t, shifted, u0, alpha), spec, dt)
-    return out.values
+def _endpoints(columns, spec: ModelSpec, grid: Grid, dt: float, workers: int) -> np.ndarray:
+    """Final states of a column block; workers > 1 splits it over one process pool.
 
-
-def _run_tasks(tasks, workers: int):
-    if workers <= 1:
-        return [_endpoint_task(t) for t in tasks]
+    The chunks are contiguous, and a DivergenceError names its column in
+    the whole block.
+    """
+    if workers <= 1 or len(columns) < 2:
+        return _integrate(columns, spec, grid, dt)[1]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(_endpoint_task, tasks))
+    chunks = np.array_split(np.arange(len(columns)), min(workers, len(columns)))
+    with ProcessPoolExecutor(len(chunks)) as ex:
+        futures = [ex.submit(_integrate, [columns[i] for i in c], spec, grid, dt) for c in chunks]
+        parts = []
+        for chunk, fut in zip(chunks, futures):
+            try:
+                parts.append(fut.result()[1])
+            except DivergenceError as exc:
+                raise DivergenceError(exc.t, column=int(chunk[exc.column])) from None
+    return np.concatenate(parts)
+
+
+def _pullback_sets(
+    tau: float,
+    path: WienerPath,
+    alphas: Sequence[float],
+    spec: ModelSpec,
+    grid: Grid,
+    horizons: Sequence[float],
+    m_samples: int,
+    family: TemperedFamilySpec,
+    absorbing: AbsorbingSpec,
+    dt: float,
+    eps_att: float,
+    dedup_tol: float,
+    seed: int,
+    workers: int,
+) -> list[AttractorApprox]:
+    """Pullback approximations at one anchor, one per intensity.
+
+    Every member of every horizon and intensity is one column of a single
+    block integration.  The initial radius is computed once per
+    (intensity, horizon); member draws are keyed by (seed, horizon index,
+    member index) and so shared across intensities.
+    """
+    horizons = [float(t) for t in horizons]
+    if not horizons or any(t <= 0 for t in horizons):
+        raise ValueError("horizons must be positive")
+    if sorted(horizons) != horizons:
+        raise ValueError("horizons must increase")
+    if m_samples < 1:
+        raise ValueError("m_samples must be >= 1")
+    if not all(0.0 <= a <= 1.0 for a in alphas):
+        raise ValueError("alpha must lie in [0, 1]")
+
+    shifted = [shift_path(path, -t) for t in horizons]
+    columns = []
+    for alpha in alphas:
+        for i, t in enumerate(horizons):
+            radius = family.radius_at(tau - t, shifted[i], alpha, spec, absorbing, grid)
+            for j in range(m_samples):
+                rng = np.random.default_rng(np.random.SeedSequence((seed, i, j)))
+                u0 = sample_initial(family, grid, radius, rng)
+                columns.append(_Column(u0.values, 0.0, t, shifted[i], alpha, tau - t))
+    ends = iter(_endpoints(columns, spec, grid, dt, workers))
+
+    out = []
+    for alpha in alphas:
+        sets: list[list[Field]] = []
+        distances: list[float] = []
+        for _ in horizons:
+            current = _dedup([Field(grid, next(ends)) for _ in range(m_samples)], dedup_tol)
+            if sets:
+                distances.append(hausdorff_dist(current, sets[-1]))
+            sets.append(current)
+        out.append(AttractorApprox(
+            tau=tau, alpha=alpha, horizons=horizons, m_samples=m_samples,
+            endpoints=sets[-1], distances=distances,
+            converged=bool(distances and distances[-1] < eps_att),
+            seed=seed, eps_att=eps_att,
+        ))
+    return out
 
 
 def pullback_ensemble(
@@ -282,40 +354,16 @@ def pullback_ensemble(
 
     For each horizon t, m_samples initial states are drawn from the
     tempered family at symbol time tau - t (path shifted by -t) and
-    transported to the anchor.  Consecutive endpoint sets are compared
-    in symmetric Hausdorff distance; the approximation is converged when
+    transported to the anchor; all horizons and members advance together
+    as one column block.  Consecutive endpoint sets are compared in
+    symmetric Hausdorff distance; the approximation is converged when
     the final comparison drops below eps_att.  Member draws are keyed by
     (seed, horizon index, member index), so ensembles with equal seeds
-    share their initial shapes across intensities.
+    share their initial shapes across intensities.  workers > 1 splits
+    the block over that many processes with identical results.
     """
-    horizons = [float(t) for t in horizons]
-    if not horizons or any(t <= 0 for t in horizons):
-        raise ValueError("horizons must be positive")
-    if sorted(horizons) != horizons:
-        raise ValueError("horizons must increase")
-    if m_samples < 1:
-        raise ValueError("m_samples must be >= 1")
-
-    sets: list[list[Field]] = []
-    distances: list[float] = []
-    for i, t in enumerate(horizons):
-        shifted = shift_path(path, -t)
-        tasks = [
-            (spec, grid, tau, alpha, t, shifted, family, absorbing, dt, (seed, i, j))
-            for j in range(m_samples)
-        ]
-        endpoints = [Field(grid, vals) for vals in _run_tasks(tasks, workers)]
-        current = _dedup(endpoints, dedup_tol)
-        sets.append(current)
-        if i > 0:
-            distances.append(hausdorff_dist(current, sets[i - 1]))
-
-    converged = bool(distances and distances[-1] < eps_att)
-    return AttractorApprox(
-        tau=tau, alpha=alpha, horizons=horizons, m_samples=m_samples,
-        endpoints=sets[-1], distances=distances, converged=converged,
-        seed=seed, eps_att=eps_att,
-    )
+    return _pullback_sets(tau, path, [alpha], spec, grid, horizons, m_samples, family,
+                          absorbing, dt, eps_att, dedup_tol, seed, workers)[0]
 
 
 def attractor_periodicity_check(

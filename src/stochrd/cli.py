@@ -37,7 +37,7 @@ from .attractor import (
     sample_initial,
 )
 from .cocycle import CocycleQuery, energy_certificate, h1_certificate, phi_record
-from .errors import DivergenceError
+from .errors import DivergenceError, WindowExceededError
 from .fields import Field, Grid, field_to_csv, write_field_block
 from .model import (
     ModelSpec,
@@ -51,7 +51,7 @@ from .model import (
     validate_dissipativity,
 )
 from .semicontinuity import sweep_alpha
-from .wiener import sample_two_sided_path
+from .wiener import _GRID_RTOL, sample_two_sided_path
 
 COMMANDS = ("check-model", "simulate", "certify", "attractor", "periodicity", "sweep-alpha")
 
@@ -120,6 +120,11 @@ class ExperimentConfig:
 
     raw_bytes: bytes = b""
 
+    def __post_init__(self):
+        """Reject an intensity no command can run; spans are checked where they are used."""
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ConfigError(f"model.alpha = {self.alpha!r} must lie in [0, 1]")
+
     # -- builders --
 
     def build_forcing(self) -> ForcingSpec:
@@ -164,6 +169,29 @@ class ExperimentConfig:
             return self.s_max
         return max(max(self.horizons) + self.s_trunc + abs(self.tau),
                    abs(self.tau) + self.t_final) + 1.0
+
+
+def _require_steps(name: str, span: float, dt: float) -> None:
+    """span must be a nonnegative whole number of steps dt."""
+    if not dt > 0:
+        raise ConfigError(f"time.dt = {dt!r} must be positive")
+    k = span / dt
+    if span < 0 or abs(k - round(k)) > _GRID_RTOL * max(1.0, k):
+        raise ConfigError(f"{name} {span!r} is not a whole number of steps time.dt = {dt!r}")
+
+
+def _sample_path(config: ExperimentConfig, seed: int, span: float):
+    """The noise path over [-span, span]; span must be whole steps of dt."""
+    _require_steps("the path span", span, config.dt)
+    return sample_two_sided_path(seed, span, config.dt)
+
+
+def _require_horizons(config: ExperimentConfig) -> None:
+    horizons = list(config.horizons)
+    if not horizons or horizons[0] <= 0 or sorted(horizons) != horizons:
+        raise ConfigError("experiment.horizons must be positive and increasing")
+    for t in horizons:
+        _require_steps("experiment.horizons", t, config.dt)
 
 
 _LIST_KEYS = {"horizons", "alphas", "seeds"}
@@ -270,7 +298,8 @@ def _cmd_check_model(config: ExperimentConfig, out_dir: str, seed: int, threads:
 def _run_record(config: ExperimentConfig, seed: int):
     spec = config.build_spec()
     grid = config.build_grid()
-    path = sample_two_sided_path(seed, config.path_span(), config.dt)
+    _require_steps("time.t_final", config.t_final, config.dt)
+    path = _sample_path(config, seed, config.path_span())
     u0 = _initial_state(config, grid, seed)
     query = CocycleQuery(config.t_final, config.tau, path, u0, config.alpha)
     return spec, grid, phi_record(query, spec, config.dt)
@@ -307,7 +336,8 @@ def _cmd_certify(config: ExperimentConfig, out_dir: str, seed: int, threads: int
 def _cmd_attractor(config: ExperimentConfig, out_dir: str, seed: int, threads: int) -> int:
     spec = config.build_spec()
     grid = config.build_grid()
-    path = sample_two_sided_path(seed, config.path_span(), config.dt)
+    _require_horizons(config)
+    path = _sample_path(config, seed, config.path_span())
     approx = pullback_ensemble(
         tau=config.tau, path=path, alpha=config.alpha, spec=spec, grid=grid,
         horizons=config.horizons, m_samples=config.m_samples,
@@ -324,8 +354,8 @@ def _cmd_attractor(config: ExperimentConfig, out_dir: str, seed: int, threads: i
 def _cmd_periodicity(config: ExperimentConfig, out_dir: str, seed: int, threads: int) -> int:
     spec = config.build_spec()
     grid = config.build_grid()
-    path = sample_two_sided_path(seed, config.path_span() + config.forcing_period,
-                                 config.dt)
+    _require_horizons(config)
+    path = _sample_path(config, seed, config.path_span() + config.forcing_period)
     dist, a, b = attractor_periodicity_check(
         spec, config.tau, path, config.alpha, grid, config.horizons,
         config.m_samples, config.build_family(), config.build_absorbing(),
@@ -349,6 +379,13 @@ def _cmd_sweep(config: ExperimentConfig, out_dir: str, seed, threads: int) -> in
     spec = config.build_spec()
     grid = config.build_grid()
     seeds = config.seeds if seed is None else (seed,)
+    ladder = list(config.alphas)
+    if not all(0.0 < a <= 1.0 for a in ladder) or sorted(set(ladder), reverse=True) != ladder:
+        raise ConfigError("experiment.alphas must decrease strictly inside (0, 1]")
+    _require_horizons(config)
+    # the span sweep_alpha samples for each seed
+    _require_steps("the sweep path span", max(config.horizons) + config.s_trunc
+                   + abs(config.tau), config.dt)
     result = sweep_alpha(
         spec, grid, config.tau, config.alphas, seeds, config.horizons,
         config.m_samples, config.build_family(), config.build_absorbing(),
@@ -393,7 +430,7 @@ def execute(command: str, config: ExperimentConfig, out_dir: str,
     except DivergenceError as exc:
         print(f"{command}: trajectory diverged ({exc})", file=sys.stderr)
         return 1
-    except ConfigError as exc:
+    except (ConfigError, WindowExceededError) as exc:
         print(f"{command}: {exc}", file=sys.stderr)
         return 2
     _write_manifest(out_dir, command, config, manifest_seed)

@@ -8,11 +8,20 @@ class WindowExceededError(ValueError):
 
 
 class DivergenceError(ArithmeticError):
-    """A trajectory left the finite range. Carries the first bad time."""
+    """A trajectory left the finite range.
 
-    def __init__(self, t: float, message: str | None = None):
+    Carries the first bad time and, for a run of several columns, the
+    index of the column that left it.
+    """
+
+    def __init__(self, t: float, message: str | None = None, column: int | None = None):
         self.t = float(t)
-        super().__init__(message or f"trajectory diverged at t={t:.6g}")
+        self.column = column
+        where = "" if column is None else f" in column {column}"
+        super().__init__(message or f"trajectory diverged at t={t:.6g}{where}")
+
+    def __reduce__(self):
+        return type(self), (self.t, self.args[0], self.column)
 
 
 class CalibrationError(RuntimeError):

@@ -20,7 +20,7 @@ Divergence is reported as a failed certificate, not an exception.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -307,11 +307,6 @@ def periodic_bump_forcing(
         period=period,
         profile=Profile("bump", amplitude=1.0, width=support),
     )
-
-
-def f_eval(spec: ModelSpec, x, s):
-    """Reaction term values, broadcast over x and s."""
-    return spec.f.value(x, s)
 
 
 def g_eval(spec_or_forcing, t: float, grid: Grid) -> Field:

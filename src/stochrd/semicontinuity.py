@@ -23,7 +23,6 @@ deterministic one; nothing is claimed in the other direction).
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -32,12 +31,11 @@ import numpy as np
 
 from .attractor import (
     AbsorbingSpec,
-    AttractorApprox,
     TemperedFamilySpec,
+    _pullback_sets,
     absorbing_radius,
     deterministic_radius,
     hausdorff_semidist,
-    pullback_ensemble,
     uniform_radius,
 )
 from .cocycle import CocycleQuery, phi_record
@@ -224,9 +222,10 @@ def sweep_alpha(
 ) -> SweepResult:
     """Upper-semicontinuity sweep at one anchor over a decreasing ladder.
 
-    Per seed: one two-sided path, the zero-noise section A_0, then for
+    Per seed: one two-sided path, the zero-noise section A_0 and for
     each intensity the section A_alpha built from the same member draws
-    (common seed keys), and the one-sided distance dist(A_alpha | A_0).
+    (common seed keys), all integrated as one column block, then the
+    one-sided distance dist(A_alpha | A_0).
     Rows aggregate across seeds by worst case, so the contract certifies
     every sampled path.  Contract: the smallest intensity's distance is
     below eps_semi and the distance ladder has no uptick beyond eps_att.
@@ -252,17 +251,14 @@ def sweep_alpha(
     for seed in seeds:
         t0 = time.perf_counter()
         path = sample_two_sided_path(seed, s_max, dt)
-        common = dict(
-            tau=tau, path=path, spec=spec, grid=grid, horizons=horizons,
-            m_samples=m_samples, family=family, absorbing=absorbing, dt=dt,
-            eps_att=eps_att, dedup_tol=dedup_tol, seed=seed, workers=workers,
+        a0, *noisy = _pullback_sets(
+            tau, path, [0.0] + alphas, spec, grid, horizons, m_samples, family,
+            absorbing, dt, eps_att, dedup_tol, seed, workers,
         )
-        a0 = pullback_ensemble(alpha=0.0, **common)
         rad_acc[0.0] = max(rad_acc[0.0], deterministic_radius(tau, spec, absorbing, grid))
         tail_acc[0.0] = max(tail_acc[0.0], a0.max_tail(tail_radius))
         conv_acc[0.0] = conv_acc[0.0] and a0.converged
-        for a in alphas:
-            aa = pullback_ensemble(alpha=a, **common)
+        for a, aa in zip(alphas, noisy):
             dist_acc[a] = max(dist_acc[a], hausdorff_semidist(aa, a0))
             rad_acc[a] = max(rad_acc[a], absorbing_radius(tau, path, a, spec, absorbing, grid))
             tail_acc[a] = max(tail_acc[a], aa.max_tail(tail_radius))

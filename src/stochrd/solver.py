@@ -8,10 +8,10 @@ an internal consistency check rather than one method trusted twice:
       dv/dt + lam*v - laplace(v) = z f(x, v/z) + z g(t, x),
       z(t) = exp(-alpha * w(t)),
 
-  with an IMEX step (backward Euler for lam - laplace via a prefactored
-  banded Cholesky solve, explicit reaction and forcing frozen at the
-  left endpoint) and returns u = v / z.  The noise enters only through
-  the weight z, so the scheme is deterministic along a frozen path.
+  with an IMEX step (backward Euler for lam - laplace, explicit
+  reaction and forcing frozen at the left endpoint) and returns
+  u = v / z.  The noise enters only through the weight z, so the
+  scheme is deterministic along a frozen path.
 
 * solve_u_direct discretizes the original equation, treating the
   noise term alpha * u o dW with the Euler-Heun midpoint rule (predict
@@ -19,33 +19,80 @@ an internal consistency check rather than one method trusted twice:
   IMEX treatment for the rest.  No transform is involved, which keeps
   the two routes independent down to the level of the scheme.
 
-Both return a TrajectoryRecord carrying the per-step scalar ledger
-(|v|^2, |grad v|^2, z^2 |u|_p^p, z^2, |g|^2) consumed by the energy and
-gradient certificates, plus optional snapshots.  A non-finite state
-aborts integration with DivergenceError naming the first bad time.
+Both routes run through one integrator core, _integrate, which advances
+a C-ordered (K, n) block of columns, one trajectory per row.  The
+columns share the grid, the step, the damping, the reaction and the
+forcing profile; each has its own initial state, step count, path
+weights and forcing clock.  Columns end together: the longest run
+starts first and shorter ones join the active prefix of the block when
+their remaining step count is reached, so a column costs nothing
+before it starts.  Per step, the implicit solve is one call for the
+whole active block: the LAPACK tridiagonal LDL^T factorization
+(dpttrf, prefactored and cached) and dpttrs on the (n - 2, K) Fortran
+view in 1-d, one sparse LU solve with a K-column right-hand side in
+2-d.  No column's arithmetic depends on another column, so column j of
+a block equals a K = 1 run bit for bit.  Weights and forcing amplitudes
+are tabulated per column in windows of _WINDOW steps counted back from
+the common end, so the tables stay small at any horizon and a column
+sees the same windows alone as in a block.  The direct route keeps the
+banded Cholesky solve it was validated with: the oracle's arithmetic
+does not move with the production solver.
+
+Single runs return a TrajectoryRecord carrying the per-step scalar
+ledger (|v|^2, |grad v|^2, z^2 |u|_p^p, z^2, |g|^2) consumed by the
+energy and gradient certificates, plus optional snapshots; block runs
+keep only the per-step finite check.  A non-finite state aborts
+integration with DivergenceError naming the first bad time and the
+column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import dpbtrs, dpttrf, dpttrs
 
 from .errors import DivergenceError
-from .fields import Field, Grid
+from .fields import Field, Grid, _h1_sq
 from .model import ModelSpec
-from .wiener import WienerPath
+from .wiener import _GRID_RTOL, WienerPath
 
-_GRID_RTOL = 1e-9
+#: steps per table window of path weights and forcing amplitudes
+_WINDOW = 1024
 
 
 # -- implicit operator -----------------------------------------------------
+#
+# Each factor holds (I + dt*(lam - laplace)) on interior nodes and solves
+# it for every row of a (K, interior...) block.
+
+
+class _TridiagonalFactor:
+    """Dim 1, LAPACK LDL^T (dpttrf); one dpttrs call per block."""
+
+    def __init__(self, grid: Grid, lam: float, dt: float):
+        m = grid.n - 2
+        r = dt / grid.h**2
+        d, e, info = dpttrf(np.full(m, 1.0 + dt * lam + 2.0 * r), np.full(m - 1, -r))
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dpttrf failed with info={info}")
+        self._d, self._e = d, e
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        # the transpose of a C-ordered (K, m) copy is the Fortran (m, K)
+        # layout dpttrs overwrites in place
+        x, info = dpttrs(self._d, self._e, np.array(rhs).T, overwrite_b=True)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dpttrs failed with info={info}")
+        return x.T
 
 
 class _BandedFactor:
-    """Prefactored (I + dt*(lam - laplace)) on interior nodes, dim 1."""
+    """Dim 1, banded Cholesky (dpbtrf); the direct route's solver."""
 
     def __init__(self, grid: Grid, lam: float, dt: float):
         m = grid.n - 2
@@ -55,29 +102,30 @@ class _BandedFactor:
         ab[1, :] = 1.0 + dt * lam + 2.0 * r
         self._cb = cholesky_banded(ab)
 
-    def solve(self, rhs_interior: np.ndarray) -> np.ndarray:
-        return cho_solve_banded((self._cb, False), rhs_interior)
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        x, info = dpbtrs(self._cb, np.array(rhs).T, lower=0, overwrite_b=True)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dpbtrs failed with info={info}")
+        return x.T
 
 
 class _SparseFactor:
-    """Prefactored implicit operator on interior nodes, dim 2."""
+    """Dim 2, sparse LU; one solve with a K-column right-hand side."""
 
     def __init__(self, grid: Grid, lam: float, dt: float):
-        from scipy.sparse import eye, kron
+        import scipy.sparse as sp
         from scipy.sparse.linalg import splu
 
         m = grid.n - 2
         r = dt / grid.h**2
-        import scipy.sparse as sp
-
         t = sp.diags([-r, 2.0 * r, -r], [-1, 0, 1], shape=(m, m))
-        lap = kron(eye(m), t) + kron(t, eye(m))
-        a = (1.0 + dt * lam) * eye(m * m) + lap
+        lap = sp.kron(sp.eye(m), t) + sp.kron(t, sp.eye(m))
+        a = (1.0 + dt * lam) * sp.eye(m * m) + lap
         self._lu = splu(a.tocsc())
-        self._m = m
 
-    def solve(self, rhs_interior: np.ndarray) -> np.ndarray:
-        return self._lu.solve(rhs_interior.ravel()).reshape(self._m, self._m)
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        k = rhs.shape[0]
+        return self._lu.solve(rhs.reshape(k, -1).T).T.reshape(rhs.shape)
 
 
 class _ScalarFactor:
@@ -86,30 +134,17 @@ class _ScalarFactor:
     def __init__(self, lam: float, dt: float):
         self._c = 1.0 + dt * lam
 
-    def solve(self, rhs_interior: np.ndarray) -> np.ndarray:
-        return rhs_interior / self._c
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return rhs / self._c
 
 
 @lru_cache(maxsize=64)
-def _implicit_factor(grid: Grid, lam: float, dt: float, diffusion: bool):
+def _implicit_factor(grid: Grid, lam: float, dt: float, diffusion: bool, factor_1d: type):
     if not diffusion:
         return _ScalarFactor(lam, dt)
     if grid.dim == 1:
-        return _BandedFactor(grid, lam, dt)
+        return factor_1d(grid, lam, dt)
     return _SparseFactor(grid, lam, dt)
-
-
-def _interior(values: np.ndarray):
-    return values[1:-1] if values.ndim == 1 else values[1:-1, 1:-1]
-
-
-def _embed(grid: Grid, interior: np.ndarray) -> np.ndarray:
-    out = np.zeros(grid.shape)
-    if grid.dim == 1:
-        out[1:-1] = interior
-    else:
-        out[1:-1, 1:-1] = interior
-    return out
 
 
 # -- trajectory record -------------------------------------------------------
@@ -163,34 +198,207 @@ def _lp_p(values: np.ndarray, p: float) -> np.ndarray:
     return np.abs(values) ** p
 
 
-def _grad_sq(values: np.ndarray, grid: Grid) -> float:
-    if grid.dim == 1:
-        d = np.diff(values)
-        return float(np.dot(d, d) / grid.h)
-    dx = np.diff(values, axis=0)
-    dy = np.diff(values, axis=1)
-    return float(np.sum(dx * dx) + np.sum(dy * dy))
+# -- the integrator core -----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Column:
+    """One trajectory of a block: initial values, time span, path, intensity."""
+
+    u_init: np.ndarray
+    t_start: float
+    t_end: float
+    path: WienerPath
+    alpha: float
+    forcing_offset: float = 0.0
+
+
+def _series(col: _Column, spec: ModelSpec, dt: float, lo: int, hi: int):
+    """Times, path values and forcing amplitudes at ledger indices lo..hi."""
+    times = col.t_start + dt * np.arange(lo, hi + 1)
+    omega = np.atleast_1d(col.path.value_at(times))
+    amp = spec.g.amplitude * np.asarray(spec.g.modulation_at(times + col.forcing_offset),
+                                        dtype=float)
+    return times, omega, amp
+
+
+def _tables(cols, starts, spec: ModelSpec, dt: float, lo: int, hi: int, active: int):
+    """Per-column weights and amplitudes on global ledger indices lo..hi, one row per index.
+
+    Column j starts at global index starts[j]; rows before its start are
+    padding that no step reads.
+    """
+    shape = (hi - lo + 1, active)
+    tab = SimpleNamespace(omega=np.zeros(shape), z=np.ones(shape), zinv=np.ones(shape),
+                          amp=np.zeros(shape))
+    shared: dict = {}  # columns on one path, clock and span share their series
+    for j in range(active):
+        c = cols[j]
+        first = max(lo, starts[j])
+        key = (id(c.path), c.t_start, c.forcing_offset, first - starts[j], hi - starts[j])
+        if key not in shared:
+            shared[key] = _series(c, spec, dt, *key[3:])
+        _, omega, amp = shared[key]
+        rows = slice(first - lo, None)
+        alpha = c.alpha
+        tab.omega[rows, j] = omega
+        tab.z[rows, j] = np.exp(-alpha * omega)
+        tab.zinv[rows, j] = np.exp(alpha * omega)
+        tab.amp[rows, j] = amp
+    return tab
+
+
+class _Scheme:
+    """Shared data of one IMEX step: reaction, forcing profile, implicit solve."""
+
+    factor_1d: type = _TridiagonalFactor
+
+    def __init__(self, spec: ModelSpec, grid: Grid, dt: float, diffusion: bool, alphas):
+        self.dt = dt
+        self.f = spec.f
+        self.x = grid.coords()
+        self.profile = None if spec.g.is_zero() else spec.g.profile.on_grid(grid)
+        self.factor = _implicit_factor(grid, spec.lam, dt, diffusion, self.factor_1d)
+        self.alphas = alphas
+        # broadcast one scalar per column over the field axes
+        self.col = (slice(None),) + (None,) * grid.dim
+        self.inner = (slice(None),) + (slice(1, -1),) * grid.dim
+
+    def _force(self, rhs, coeff):
+        if self.profile is not None and coeff.any():
+            rhs += coeff[self.col] * self.profile
+
+    def _solve(self, state, rhs):
+        state[self.inner] = self.factor.solve(rhs[self.inner])
+
+
+class _Transform(_Scheme):
+    """State v = z u; explicit terms weighted by z at the left endpoint."""
+
+    name = "transform"
+
+    def start(self, u0, tab, i, j):
+        return tab.z[i, j] * u0
+
+    def views(self, state, tab, i, a):
+        return state, tab.zinv[i, :a][self.col] * state
+
+    def step(self, state, u, tab, i, a):
+        dz = self.dt * tab.z[i, :a]
+        rhs = state + dz[self.col] * self.f.value(self.x, u)
+        self._force(rhs, dz * tab.amp[i, :a])
+        self._solve(state, rhs)
+
+
+class _Direct(_Scheme):
+    """State u; Euler-Heun noise increment, banded Cholesky solve."""
+
+    name = "direct"
+    factor_1d = _BandedFactor
+
+    def start(self, u0, tab, i, j):
+        return u0
+
+    def views(self, state, tab, i, a):
+        return tab.z[i, :a][self.col] * state, state
+
+    def step(self, state, u, tab, i, a):
+        alpha = self.alphas[:a]
+        dw = tab.omega[i + 1, :a] - tab.omega[i, :a]
+        ubar = u + (alpha * dw)[self.col] * u
+        rhs = u + self.dt * self.f.value(self.x, u) + (0.5 * alpha * dw)[self.col] * (u + ubar)
+        self._force(rhs, self.dt * tab.amp[i, :a])
+        self._solve(state, rhs)
+
+
+def _integrate(columns, spec: ModelSpec, grid: Grid, dt: float, diffusion: bool = True,
+               scheme: type = _Transform, observe=None):
+    """Advance a block of columns to their common end.
+
+    Returns the final (v, u) blocks, one row per column in input order.
+    Each column carries its own intensity; spec.alpha is not read.
+    Columns are ordered by decreasing step count and the integration
+    works on the active prefix of the block.  observe(k, v, u, v_sq), when
+    given, sees every ledger index of the active block before its step.
+    """
+    ns = [_n_steps(c.t_start, c.t_end, dt) for c in columns]
+    order = sorted(range(len(columns)), key=lambda j: -ns[j])
+    cols = [columns[j] for j in order]
+    n_max = ns[order[0]]
+    starts = [n_max - ns[j] for j in order]
+    sch = scheme(spec, grid, dt, diffusion, np.array([c.alpha for c in cols]))
+    state = np.zeros((len(cols),) + grid.shape)
+    cm = grid.cell_measure
+    active = 0
+
+    def visit(g, tab, i):
+        nonlocal active
+        while active < len(cols) and starts[active] == g:
+            state[active] = sch.start(cols[active].u_init, tab, i, active)
+            active += 1
+        v, u = sch.views(state[:active], tab, i, active)
+        v_sq = cm * np.sum((v * v).reshape(active, -1), axis=1)
+        if not np.all(np.isfinite(v_sq)):
+            j = int(np.argmin(np.isfinite(v_sq)))
+            raise DivergenceError(cols[j].t_start + dt * (g - starts[j]), column=order[j])
+        if observe is not None:
+            observe(g, v, u, v_sq)
+        return v, u
+
+    # window edges counted back from the common end
+    edges = [0] + list(range(n_max, 0, -_WINDOW))[::-1]
+    windows = list(zip(edges, edges[1:])) or [(0, 0)]
+    # overflow is an expected failure mode, caught by the finite check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in windows:
+            tab = _tables(cols, starts, spec, dt, lo, hi, sum(s <= hi for s in starts))
+            for g in range(lo, hi):
+                u = visit(g, tab, g - lo)[1]
+                sch.step(state[:active], u, tab, g - lo, active)
+        v, u = visit(n_max, tab, n_max - lo)
+    back = np.argsort(order)
+    return v[back], u[back]
+
+
+def _record(scheme: type, u_init: Field, t_start: float, t_end: float, path: WienerPath,
+            spec: ModelSpec, dt: float, diffusion: bool, forcing_offset: float,
+            snapshot_every: int | None) -> TrajectoryRecord:
+    """One trajectory through the core (K = 1) with the full ledger."""
+    grid = u_init.grid
+    n = _n_steps(t_start, t_end, dt)
+    col = _Column(u_init.values, t_start, t_end, path, spec.alpha, forcing_offset)
+    times, omega, amp = _series(col, spec, dt, 0, n)
+    cm = grid.cell_measure
+    profile = None if spec.g.is_zero() else spec.g.profile.on_grid(grid)
+    prof_sq = float(cm * np.sum(profile * profile)) if profile is not None else 0.0
+    z = np.exp(-spec.alpha * omega)
+    z_sq = z * z
+    g_sq = amp * amp * prof_sq
+    v_sq = np.empty(n + 1)
+    gradv_sq = np.empty(n + 1)
+    zsq_lp_p = np.empty(n + 1)
+    snapshots: list = []
+
+    def observe(k, v, u, v_sq_k):
+        # keep a zero-step call an exact identity (no z round trip)
+        u = u_init.values if n == 0 else u[0]
+        v_sq[k] = v_sq_k[0]
+        gradv_sq[k] = _h1_sq(v[0], grid)
+        zsq_lp_p[k] = z_sq[k] * cm * np.sum(_lp_p(u, spec.p))
+        if snapshot_every and k % snapshot_every == 0:
+            snapshots.append((float(times[k]), Field(grid, u)))
+
+    v_end, u_end = _integrate([col], spec, grid, dt, diffusion, scheme, observe)
+    return TrajectoryRecord(
+        grid=grid, times=times, v_sq=v_sq, gradv_sq=gradv_sq, zsq_lp_p=zsq_lp_p,
+        z_sq=z_sq, g_sq=g_sq,
+        u_final=Field(grid, u_init.values if n == 0 else u_end[0]), v_final=v_end[0],
+        dt=dt, scheme=scheme.name, alpha=spec.alpha,
+        forcing_offset=forcing_offset, snapshots=snapshots,
+    )
 
 
 # -- the two solvers ---------------------------------------------------------
-
-
-def step_v(v: Field, t: float, dt: float, path: WienerPath, spec: ModelSpec,
-           diffusion: bool = True) -> Field:
-    """One IMEX step of the transformed equation from time t to t + dt.
-
-    Explicit data (reaction through u = v/z, forcing, weight z) are
-    frozen at the left endpoint; the damped diffusion is solved
-    implicitly.  The zero field with zero forcing is an exact fixed
-    point.
-    """
-    grid = v.grid
-    z_t = float(np.exp(-spec.alpha * path.value_at(t)))
-    x = grid.coords()
-    u = v.values / z_t
-    rhs = v.values + dt * (z_t * spec.f.value(x, u) + z_t * spec.g.values_on_grid(t, grid))
-    factor = _implicit_factor(grid, spec.lam, dt, diffusion)
-    return Field(grid, _embed(grid, factor.solve(_interior(rhs))))
 
 
 def solve_u_transform(
@@ -210,56 +418,10 @@ def solve_u_transform(
     the transformed equation is stepped to t_end, and the endpoint is
     mapped back.  Forcing is evaluated at t + forcing_offset, which lets
     cocycle code translate the forcing clock without touching the path.
+    A zero-step call returns u_init itself.
     """
-    grid = u_init.grid
-    n = _n_steps(t_start, t_end, dt)
-    times = t_start + dt * np.arange(n + 1)
-    omega = np.atleast_1d(path.value_at(times))
-    z = np.exp(-spec.alpha * omega)
-    zinv = np.exp(spec.alpha * omega)
-
-    cm = grid.cell_measure
-    p = spec.p
-    x = grid.coords()
-    amp_m = spec.g.amplitude * np.asarray(spec.g.modulation_at(times + forcing_offset), dtype=float)
-    profile = spec.g.profile.on_grid(grid) if not spec.g.is_zero() else None
-    prof_sq = float(cm * np.sum(profile * profile)) if profile is not None else 0.0
-
-    v_sq = np.empty(n + 1)
-    gradv_sq = np.empty(n + 1)
-    zsq_lp_p = np.empty(n + 1)
-    z_sq = z * z
-    g_sq = amp_m * amp_m * prof_sq
-
-    factor = _implicit_factor(grid, spec.lam, dt, diffusion)
-    v = z[0] * u_init.values
-    snapshots: list = []
-    # overflow is an expected failure mode, caught via the norm ledger
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n + 1):
-            # keep a zero-step call an exact identity (no z round trip)
-            u = u_init.values if (k == 0 and n == 0) else zinv[k] * v
-            v_sq[k] = cm * np.sum(v * v)
-            gradv_sq[k] = _grad_sq(v, grid)
-            zsq_lp_p[k] = z_sq[k] * cm * np.sum(_lp_p(u, p))
-            if not np.isfinite(v_sq[k]):
-                raise DivergenceError(times[k])
-            if snapshot_every and k % snapshot_every == 0:
-                snapshots.append((float(times[k]), Field(grid, u)))
-            if k == n:
-                break
-            rhs = v + dt * z[k] * spec.f.value(x, u)
-            if profile is not None and amp_m[k] != 0.0:
-                rhs = rhs + (dt * z[k] * amp_m[k]) * profile
-            v = _embed(grid, factor.solve(_interior(rhs)))
-
-    u_final = Field(grid, u_init.values if n == 0 else zinv[n] * v)
-    return TrajectoryRecord(
-        grid=grid, times=times, v_sq=v_sq, gradv_sq=gradv_sq, zsq_lp_p=zsq_lp_p,
-        z_sq=z_sq, g_sq=g_sq,
-        u_final=u_final, v_final=v, dt=dt, scheme="transform", alpha=spec.alpha,
-        forcing_offset=forcing_offset, snapshots=snapshots,
-    )
+    return _record(_Transform, u_init, t_start, t_end, path, spec, dt, diffusion,
+                   forcing_offset, snapshot_every)
 
 
 def solve_u_direct(
@@ -281,54 +443,5 @@ def solve_u_direct(
     forcing are explicit at the left endpoint, damped diffusion is
     implicit, exactly as in the transform route.
     """
-    grid = u_init.grid
-    n = _n_steps(t_start, t_end, dt)
-    times = t_start + dt * np.arange(n + 1)
-    omega = np.atleast_1d(path.value_at(times))
-    z = np.exp(-spec.alpha * omega)
-    d_omega = np.diff(omega)
-
-    cm = grid.cell_measure
-    p = spec.p
-    x = grid.coords()
-    amp_m = spec.g.amplitude * np.asarray(spec.g.modulation_at(times + forcing_offset), dtype=float)
-    profile = spec.g.profile.on_grid(grid) if not spec.g.is_zero() else None
-    prof_sq = float(cm * np.sum(profile * profile)) if profile is not None else 0.0
-
-    v_sq = np.empty(n + 1)
-    gradv_sq = np.empty(n + 1)
-    zsq_lp_p = np.empty(n + 1)
-    z_sq = z * z
-    g_sq = amp_m * amp_m * prof_sq
-
-    factor = _implicit_factor(grid, spec.lam, dt, diffusion)
-    u = u_init.values.copy()
-    alpha = spec.alpha
-    snapshots: list = []
-    # overflow is an expected failure mode, caught via the norm ledger
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n + 1):
-            v = z[k] * u
-            v_sq[k] = cm * np.sum(v * v)
-            gradv_sq[k] = _grad_sq(v, grid)
-            zsq_lp_p[k] = z_sq[k] * cm * np.sum(_lp_p(u, p))
-            if not np.isfinite(v_sq[k]):
-                raise DivergenceError(times[k])
-            if snapshot_every and k % snapshot_every == 0:
-                snapshots.append((float(times[k]), Field(grid, u)))
-            if k == n:
-                break
-            dw = d_omega[k]
-            ubar = u + alpha * dw * u
-            rhs = u + dt * spec.f.value(x, u) + (0.5 * alpha * dw) * (u + ubar)
-            if profile is not None and amp_m[k] != 0.0:
-                rhs = rhs + (dt * amp_m[k]) * profile
-            u = _embed(grid, factor.solve(_interior(rhs)))
-
-    u_final = Field(grid, u)
-    return TrajectoryRecord(
-        grid=grid, times=times, v_sq=v_sq, gradv_sq=gradv_sq, zsq_lp_p=zsq_lp_p,
-        z_sq=z_sq, g_sq=g_sq,
-        u_final=u_final, v_final=z[n] * u, dt=dt, scheme="direct", alpha=spec.alpha,
-        forcing_offset=forcing_offset, snapshots=snapshots,
-    )
+    return _record(_Direct, u_init, t_start, t_end, path, spec, dt, diffusion,
+                   forcing_offset, snapshot_every)

@@ -33,6 +33,7 @@ from .errors import WindowExceededError
 #: default quadrature step for the exponential memory integrals
 DEFAULT_QUAD_STEP = 0.01
 
+#: relative tolerance for "lies on the time grid" checks, shared package-wide
 _GRID_RTOL = 1e-9
 
 

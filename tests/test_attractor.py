@@ -11,6 +11,7 @@ from stochrd import (
     AttractorApprox,
     CalibrationConfig,
     CalibrationError,
+    DivergenceError,
     Field,
     Grid,
     TemperedFamilySpec,
@@ -23,15 +24,19 @@ from stochrd import (
     hausdorff_dist,
     hausdorff_semidist,
     l2_distance,
+    Nonlinearity,
     norms,
     periodic_bump_forcing,
     pullback_ensemble,
     sample_initial,
     sample_two_sided_path,
+    shift_path,
     tail_mass,
     tail_uniformity_report,
     uniform_radius,
 )
+from stochrd.attractor import _endpoints
+from stochrd.solver import _Column
 
 G = Grid(dim=1, half_width=8.0, n=257)
 SPEC = canonical_cubic(alpha=0.5, forcing=periodic_bump_forcing(0.05))
@@ -241,6 +246,20 @@ def test_pullback_workers_match_serial():
         assert np.array_equal(x.values, y.values)
 
 
+def test_pullback_radius_once_per_horizon():
+    calls = []
+
+    def radius(tau, path):
+        calls.append(tau)
+        return 1.0
+
+    fam = TemperedFamilySpec("custom", radius_fn=radius)
+    p = sample_two_sided_path(3, 1.0, 1e-3)
+    pullback_ensemble(tau=0.0, path=p, alpha=0.5, spec=SPEC, grid=G, horizons=[0.1, 0.2],
+                      m_samples=3, family=fam, absorbing=AB, seed=4)
+    assert calls == [-0.1, -0.2]
+
+
 def test_pullback_validates_arguments():
     p = sample_two_sided_path(3, 2.0, 1e-3)
     kw = dict(tau=0.0, path=p, alpha=0.5, spec=SPEC, grid=G,
@@ -251,6 +270,26 @@ def test_pullback_validates_arguments():
         pullback_ensemble(horizons=[-1.0], **kw)
     with pytest.raises(ValueError):
         pullback_ensemble(horizons=[], **kw)
+    for alpha in (1.5, -0.5):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            pullback_ensemble(horizons=[0.5], **{**kw, "alpha": alpha})
+
+
+def test_pool_divergence_names_block_column():
+    # f = +u^3 blows up from the large state; it sits in the second chunk
+    spec = dataclasses.replace(SPEC, f=Nonlinearity("anticubic"))
+    grid = Grid(dim=1, half_width=4.0, n=17)
+    p = sample_two_sided_path(3, 1.0, 1e-2)
+    rng = np.random.default_rng(0)
+    cols = [_Column(0.01 * rng.uniform(-1.0, 1.0, grid.shape), 0.0, 0.5,
+                    shift_path(p, -0.5), 0.5, -0.5) for _ in range(4)]
+    cols[3] = dataclasses.replace(cols[3], u_init=1e3 * np.ones(grid.shape))
+    with pytest.raises(DivergenceError) as serial:
+        _endpoints(cols, spec, grid, 1e-2, workers=1)
+    with pytest.raises(DivergenceError) as pooled:
+        _endpoints(cols, spec, grid, 1e-2, workers=2)
+    assert serial.value.column == pooled.value.column == 3
+    assert serial.value.t == pooled.value.t
 
 
 def test_pullback_dedup_collapses_identical_members():

@@ -181,3 +181,31 @@ def test_sweep_reproducible_and_seed_list(tmp_path):
 
 def test_execute_unknown_command(tmp_path):
     assert execute("nope", ExperimentConfig(), str(tmp_path / "x")) == 2
+
+
+def test_step_grid_mismatch_exits_2(tmp_path, capsys):
+    # t_final and the derived path span are not whole numbers of dt = 0.003
+    text = SMALL.replace("t_final = 1.0", "dt = 0.003\nt_final = 1.0")
+    assert main(["simulate", "--config", write_config(tmp_path, text)]) == 2
+    assert "time.dt" in capsys.readouterr().err
+
+
+def test_alpha_out_of_range_exits_2(tmp_path, capsys):
+    text = SMALL.replace("alpha = 0.5", "alpha = 1.5")
+    assert main(["simulate", "--config", write_config(tmp_path, text)]) == 2
+    assert "model.alpha" in capsys.readouterr().err
+
+
+def test_unused_spans_do_not_reject(tmp_path):
+    # dt = 0.003 divides t_final and s_max but not the horizons 1.0, 2.0,
+    # which only the attractor, periodicity and sweep commands use
+    text = SMALL.replace("t_final = 1.0", "dt = 0.003\nt_final = 0.3").replace(
+        "s_max = 4.0", "s_max = 3.0")
+    cfg = write_config(tmp_path, text)
+    for command in ("simulate", "certify"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+    # check-model reads no step: same verdict as at the default dt
+    assert main(["check-model", "--config", cfg, "--out", str(tmp_path / "m")]) == main(
+        ["check-model", "--config", write_config(tmp_path, name="ref.ini"),
+         "--out", str(tmp_path / "m0")])
+    assert main(["attractor", "--config", cfg, "--out", str(tmp_path / "a")]) == 2

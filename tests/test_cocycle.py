@@ -125,6 +125,31 @@ def test_energy_certificate_catches_tampering():
 # -- gradient certificate ----------------------------------------------------
 
 
+def test_memory_sums_match_exponential_weights():
+    # where e^{lam t} is finite, the recursion equals the explicitly
+    # weighted trapezoid sum e^{-lam t_k} int_0^{t_k} e^{lam s} f(s) ds
+    from stochrd.cocycle import _memory_trapz
+
+    lam, dt = 1.5, 1e-2
+    f = np.random.default_rng(0).uniform(0.0, 2.0, 801)
+    t = dt * np.arange(f.size)
+    g = np.exp(lam * t) * f
+    closed = np.exp(-lam * t) * np.concatenate(([0.0], np.cumsum(0.5 * dt * (g[1:] + g[:-1]))))
+    assert _memory_trapz(f, lam, dt) == pytest.approx(closed, rel=1e-12, abs=1e-15)
+
+
+def test_energy_certificate_beyond_exponent_range():
+    # lam * t = 750 > 709, where e^{lam t} overflows double precision
+    grid = Grid(dim=1, half_width=8.0, n=17)
+    spec = canonical_cubic(alpha=0.5, lam=10.0, forcing=periodic_bump_forcing(0.05))
+    p = sample_two_sided_path(7, 76.0, 1e-2)
+    u0 = Field.from_function(grid, lambda x: np.exp(-x * x))
+    rec = phi_record(CocycleQuery(75.0, 0.0, p, u0), spec, 1e-2)
+    rep = energy_certificate(rec, spec)
+    assert np.isfinite(rep.worst_margin)
+    assert rep.passed
+
+
 def test_h1_certificate_passes():
     u0 = gaussian()
     p = sample_two_sided_path(12, 3.0, 1e-3)

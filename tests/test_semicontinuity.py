@@ -141,6 +141,8 @@ def test_sweep_alpha_validates_ladder():
         sweep_alpha(SPEC, G, alphas=[0.25, 0.5], **kw)
     with pytest.raises(ValueError):
         sweep_alpha(SPEC, G, alphas=[0.5, 0.0], **kw)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        sweep_alpha(SPEC, G, alphas=[2.0, 0.5], **kw)
 
 
 def test_sweep_alpha_artifacts(tmp_path):

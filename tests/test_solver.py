@@ -19,7 +19,6 @@ from stochrd import (
     sample_two_sided_path,
     solve_u_direct,
     solve_u_transform,
-    step_v,
 )
 
 G = Grid(dim=1, half_width=8.0, n=257)
@@ -52,8 +51,7 @@ def test_zero_is_fixed_point():
     p = zero_path()
     rec = solve_u_transform(Field.zeros(G), 0.0, 0.1, p, canonical_cubic(alpha=0.0), 1e-3)
     assert np.array_equal(rec.u_final.values, np.zeros(257))
-    out = step_v(Field.zeros(G), 0.0, 1e-3, p, canonical_cubic(alpha=0.0))
-    assert np.array_equal(out.values, np.zeros(257))
+    assert np.all(rec.v_sq == 0.0)  # every step, not only the endpoint
 
 
 def test_eigenmode_decay_matches_implicit_factor():
@@ -181,6 +179,42 @@ def test_direct_and_transform_agree():
     rd = solve_u_direct(u0, 0.0, 1.0, p, spec, 1e-3)
     assert l2_distance(rt.u_final, rd.u_final) < 1e-3
     assert rd.scheme == "direct" and rt.scheme == "transform"
+
+
+def _direct_reference(u0, t_end, path, spec, dt):
+    """The direct route as a plain per-step loop with the banded Cholesky solve."""
+    from scipy.linalg import cho_solve_banded, cholesky_banded
+
+    grid = u0.grid
+    m, r = grid.n - 2, dt / grid.h**2
+    ab = np.zeros((2, m))
+    ab[0, 1:] = -r
+    ab[1, :] = 1.0 + dt * spec.lam + 2.0 * r
+    cb = cholesky_banded(ab)
+    times = dt * np.arange(round(t_end / dt) + 1)
+    omega = path.value_at(times)
+    amp = spec.g.amplitude * spec.g.modulation_at(times)
+    profile = spec.g.profile.on_grid(grid)
+    u = u0.values.copy()
+    for k in range(times.size - 1):
+        dw = omega[k + 1] - omega[k]
+        ubar = u + spec.alpha * dw * u
+        rhs = u + dt * spec.f.value(grid.axis, u) + (0.5 * spec.alpha * dw) * (u + ubar)
+        if amp[k] != 0.0:
+            rhs = rhs + (dt * amp[k]) * profile
+        u = np.zeros_like(u)
+        u[1:-1] = cho_solve_banded((cb, False), rhs[1:-1])
+    return u
+
+
+def test_direct_route_matches_plain_loop_bit_for_bit():
+    # the oracle's arithmetic must not move with the production solver;
+    # 1,500 steps cross a table window boundary of the core
+    spec = canonical_cubic(alpha=0.7, forcing=periodic_bump_forcing(0.05))
+    p = sample_two_sided_path(9, 2.0, 1e-3)
+    u0 = Field.from_function(G, lambda x: np.exp(-x * x))
+    rec = solve_u_direct(u0, 0.0, 1.5, p, spec, 1e-3)
+    assert np.array_equal(rec.u_final.values, _direct_reference(u0, 1.5, p, spec, 1e-3))
 
 
 def test_direct_ledger_uses_transformed_state():
