@@ -253,15 +253,16 @@ class AttractorApprox:
 def _endpoints(columns, spec: ModelSpec, grid: Grid, dt: float, workers: int) -> np.ndarray:
     """Final states of a column block; workers > 1 splits it over one process pool.
 
-    The chunks are contiguous, and a DivergenceError names its column in
-    the whole block.
+    The pool has at most one process per column and per CPU; the chunks
+    are contiguous, and a DivergenceError names its column in the block.
     """
-    if workers <= 1 or len(columns) < 2:
+    workers = min(workers, len(columns), os.cpu_count() or 1)
+    if workers <= 1:
         return _integrate(columns, spec, grid, dt)[1]
     from concurrent.futures import ProcessPoolExecutor
 
-    chunks = np.array_split(np.arange(len(columns)), min(workers, len(columns)))
-    with ProcessPoolExecutor(len(chunks)) as ex:
+    chunks = np.array_split(np.arange(len(columns)), workers)
+    with ProcessPoolExecutor(workers) as ex:
         futures = [ex.submit(_integrate, [columns[i] for i in c], spec, grid, dt) for c in chunks]
         parts = []
         for chunk, fut in zip(chunks, futures):

@@ -67,13 +67,11 @@ class CocycleQuery:
         return spec.with_alpha(self.alpha)
 
 
-def phi_record(query: CocycleQuery, spec: ModelSpec, dt: float = 1e-3,
-               snapshot_every: int | None = None) -> TrajectoryRecord:
+def phi_record(query: CocycleQuery, spec: ModelSpec, dt: float = 1e-3) -> TrajectoryRecord:
     """Full trajectory record behind phi; times run over elapsed [0, t]."""
     spec = query.resolve(spec)
     return solve_u_transform(
-        query.u_init, 0.0, query.t, query.path, spec, dt,
-        forcing_offset=query.tau, snapshot_every=snapshot_every,
+        query.u_init, 0.0, query.t, query.path, spec, dt, forcing_offset=query.tau,
     )
 
 

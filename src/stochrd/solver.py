@@ -40,15 +40,16 @@ does not move with the production solver.
 
 Single runs return a TrajectoryRecord carrying the per-step scalar
 ledger (|v|^2, |grad v|^2, z^2 |u|_p^p, z^2, |g|^2) consumed by the
-energy and gradient certificates, plus optional snapshots; block runs
-keep only the per-step finite check.  A non-finite state aborts
+energy and gradient certificates; block runs keep only the per-step
+finite check, and a caller that needs more of the trajectory reads it
+through the observe hook of _integrate.  A non-finite state aborts
 integration with DivergenceError naming the first bad time and the
 column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -57,7 +58,7 @@ from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dpbtrs, dpttrf, dpttrs
 
 from .errors import DivergenceError
-from .fields import Field, Grid, _h1_sq
+from .fields import Field, Grid, _h1_sq, _lp_p
 from .model import ModelSpec
 from .wiener import _GRID_RTOL, WienerPath
 
@@ -167,7 +168,6 @@ class TrajectoryRecord:
     scheme: str
     alpha: float
     forcing_offset: float = 0.0
-    snapshots: list = field(default_factory=list)
 
     @property
     def t_start(self) -> float:
@@ -187,15 +187,6 @@ def _n_steps(t_start: float, t_end: float, dt: float) -> int:
     if abs(k - round(k)) > _GRID_RTOL * max(1.0, abs(k)):
         raise ValueError("t_end - t_start must be an integer multiple of dt")
     return int(round(k))
-
-
-def _lp_p(values: np.ndarray, p: float) -> np.ndarray:
-    if p == 2.0:
-        return values * values
-    if p == 4.0:
-        q = values * values
-        return q * q
-    return np.abs(values) ** p
 
 
 # -- the integrator core -----------------------------------------------------
@@ -361,8 +352,8 @@ def _integrate(columns, spec: ModelSpec, grid: Grid, dt: float, diffusion: bool 
 
 
 def _record(scheme: type, u_init: Field, t_start: float, t_end: float, path: WienerPath,
-            spec: ModelSpec, dt: float, diffusion: bool, forcing_offset: float,
-            snapshot_every: int | None) -> TrajectoryRecord:
+            spec: ModelSpec, dt: float, diffusion: bool,
+            forcing_offset: float) -> TrajectoryRecord:
     """One trajectory through the core (K = 1) with the full ledger."""
     grid = u_init.grid
     n = _n_steps(t_start, t_end, dt)
@@ -377,7 +368,6 @@ def _record(scheme: type, u_init: Field, t_start: float, t_end: float, path: Wie
     v_sq = np.empty(n + 1)
     gradv_sq = np.empty(n + 1)
     zsq_lp_p = np.empty(n + 1)
-    snapshots: list = []
 
     def observe(k, v, u, v_sq_k):
         # keep a zero-step call an exact identity (no z round trip)
@@ -385,8 +375,6 @@ def _record(scheme: type, u_init: Field, t_start: float, t_end: float, path: Wie
         v_sq[k] = v_sq_k[0]
         gradv_sq[k] = _h1_sq(v[0], grid)
         zsq_lp_p[k] = z_sq[k] * cm * np.sum(_lp_p(u, spec.p))
-        if snapshot_every and k % snapshot_every == 0:
-            snapshots.append((float(times[k]), Field(grid, u)))
 
     v_end, u_end = _integrate([col], spec, grid, dt, diffusion, scheme, observe)
     return TrajectoryRecord(
@@ -394,7 +382,7 @@ def _record(scheme: type, u_init: Field, t_start: float, t_end: float, path: Wie
         z_sq=z_sq, g_sq=g_sq,
         u_final=Field(grid, u_init.values if n == 0 else u_end[0]), v_final=v_end[0],
         dt=dt, scheme=scheme.name, alpha=spec.alpha,
-        forcing_offset=forcing_offset, snapshots=snapshots,
+        forcing_offset=forcing_offset,
     )
 
 
@@ -410,7 +398,6 @@ def solve_u_transform(
     dt: float = 1e-3,
     diffusion: bool = True,
     forcing_offset: float = 0.0,
-    snapshot_every: int | None = None,
 ) -> TrajectoryRecord:
     """Integrate via the conjugation transform; returns u = v / z.
 
@@ -420,8 +407,7 @@ def solve_u_transform(
     cocycle code translate the forcing clock without touching the path.
     A zero-step call returns u_init itself.
     """
-    return _record(_Transform, u_init, t_start, t_end, path, spec, dt, diffusion,
-                   forcing_offset, snapshot_every)
+    return _record(_Transform, u_init, t_start, t_end, path, spec, dt, diffusion, forcing_offset)
 
 
 def solve_u_direct(
@@ -433,7 +419,6 @@ def solve_u_direct(
     dt: float = 1e-3,
     diffusion: bool = True,
     forcing_offset: float = 0.0,
-    snapshot_every: int | None = None,
 ) -> TrajectoryRecord:
     """Integrate the original equation; independent oracle for the transform.
 
@@ -443,5 +428,4 @@ def solve_u_direct(
     forcing are explicit at the left endpoint, damped diffusion is
     implicit, exactly as in the transform route.
     """
-    return _record(_Direct, u_init, t_start, t_end, path, spec, dt, diffusion,
-                   forcing_offset, snapshot_every)
+    return _record(_Direct, u_init, t_start, t_end, path, spec, dt, diffusion, forcing_offset)

@@ -121,15 +121,17 @@ class WienerPath:
             raise WindowExceededError(
                 f"evaluation outside sampled window [{lo:.6g}, {hi:.6g}]"
             )
-        anchor = self._base[self._i0]
+        b = self._base
         pos = (t_arr - lo) / self.grid_step
         # snap near-integer positions so grid-time evaluations return the
         # stored sample bit-exactly instead of a reinterpolated value
         posr = np.round(pos)
         snap = np.abs(pos - posr) <= _GRID_RTOL * np.maximum(1.0, np.abs(posr))
         pos = np.where(snap, posr, pos)
-        pos = np.clip(pos, 0.0, self._base.size - 1.0)
-        out = np.interp(pos, np.arange(self._base.size), self._base) - anchor
+        pos = np.clip(pos, 0.0, b.size - 1.0)
+        # np.interp's arithmetic, on the bracketing pair only
+        j = pos.astype(np.intp)
+        out = (b[np.minimum(j + 1, b.size - 1)] - b[j]) * (pos - j) + b[j] - b[self._i0]
         if t_arr.ndim == 0:
             return float(out)
         return out

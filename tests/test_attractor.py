@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -290,6 +291,23 @@ def test_pool_divergence_names_block_column():
         _endpoints(cols, spec, grid, 1e-2, workers=2)
     assert serial.value.column == pooled.value.column == 3
     assert serial.value.t == pooled.value.t
+
+
+def test_endpoints_pool_clamped_to_cpu_count(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    grid = Grid(dim=1, half_width=4.0, n=17)
+    p = sample_two_sided_path(3, 1.0, 1e-2)
+    rng = np.random.default_rng(0)
+    cols = [_Column(rng.uniform(-1.0, 1.0, grid.shape), 0.0, 0.5, shift_path(p, -0.5),
+                    0.5, -0.5) for _ in range(3)]
+    serial = _endpoints(cols, SPEC, grid, 1e-2, workers=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert np.array_equal(_endpoints(cols, SPEC, grid, 1e-2, workers=64), serial)
 
 
 def test_pullback_dedup_collapses_identical_members():

@@ -1,5 +1,6 @@
 """Vanishing-intensity certificates and the alpha sweep."""
 
+import dataclasses
 import json
 import math
 
@@ -8,8 +9,10 @@ import pytest
 
 from stochrd import (
     AbsorbingSpec,
+    DivergenceError,
     Field,
     Grid,
+    Nonlinearity,
     TemperedFamilySpec,
     WienerPath,
     canonical_cubic,
@@ -18,6 +21,7 @@ from stochrd import (
     path_smallness,
     periodic_bump_forcing,
     sample_two_sided_path,
+    solve_u_transform,
     sweep_alpha,
     uniform_bound_check,
 )
@@ -73,6 +77,36 @@ def test_deviation_shrinks_with_alpha():
     assert big.t_start == 0.0 and big.t_end == 0.5
     d = big.to_json_dict()
     assert set(d) == {"alpha", "eps_alpha", "sup_dev_sq", "ratio", "t_start", "t_end"}
+
+
+def test_deviation_validates_arguments():
+    p = sample_two_sided_path(9, 1.0, 1e-3)
+    u0 = Field.from_function(G, lambda x: np.exp(-x * x))
+    for alpha in (1.5, -0.5):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            deviation_check(SPEC, alpha, 0.0, 0.5, p, u0)
+    with pytest.raises(ValueError):
+        deviation_check(SPEC, 0.5, 0.0, -0.5, p, u0)
+
+
+@pytest.mark.parametrize("seed, first", [(1, 1), (3, 0)])
+def test_deviation_divergence_names_column(seed, first):
+    # f = +u^3 blows up from u = 3; on path 1 the noisy run outlives the
+    # zero-noise run, on path 3 it blows up first
+    spec = dataclasses.replace(SPEC, f=Nonlinearity("anticubic"))
+    grid = Grid(dim=1, half_width=4.0, n=17)
+    p = sample_two_sided_path(seed, 4.0, 1e-2)
+    u0 = Field(grid, 3.0 * np.ones(grid.shape))
+    times = []
+    for alpha in (1.0, 0.0):
+        with pytest.raises(DivergenceError) as single:
+            solve_u_transform(u0, 0.0, 3.0, p, spec.with_alpha(alpha), 1e-2, forcing_offset=0.25)
+        times.append(single.value.t)
+    with pytest.raises(DivergenceError) as block:
+        deviation_check(spec, 1.0, 0.25, 3.0, p, u0, 1e-2)
+    assert times[first] < times[1 - first]
+    assert block.value.column == first
+    assert block.value.t == times[first]
 
 
 # -- radius domination -----------------------------------------------------------

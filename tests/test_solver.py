@@ -151,18 +151,6 @@ def test_record_ledger_shapes_and_forcing():
     assert rec.g_sq[k] == pytest.approx(want, rel=1e-12)
 
 
-def test_snapshots():
-    spec = canonical_cubic(alpha=0.5)
-    p = sample_two_sided_path(5, 1.0, 1e-3)
-    u0 = Field.from_function(G, lambda x: np.exp(-x * x))
-    rec = solve_u_transform(u0, 0.0, 0.2, p, spec, 1e-3, snapshot_every=50)
-    assert len(rec.snapshots) == 5
-    t0, f0 = rec.snapshots[0]
-    assert t0 == 0.0 and np.array_equal(f0.values, u0.values)
-    t_last, _ = rec.snapshots[-1]
-    assert t_last == pytest.approx(0.2)
-
-
 def test_zero_step_run_is_identity():
     spec = canonical_cubic(alpha=0.9)
     p = sample_two_sided_path(5, 1.0, 1e-3)

@@ -13,6 +13,7 @@ from stochrd import (
     sublinearity_report,
     z_value,
 )
+from stochrd.wiener import _GRID_RTOL
 
 
 def test_anchored_at_zero():
@@ -182,3 +183,21 @@ def test_csv_roundtrip(tmp_path):
     back = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     assert np.array_equal(back[:, 0], p.times)
     assert np.array_equal(back[:, 1], p.samples)
+
+
+def test_value_at_matches_np_interp():
+    p = sample_two_sided_path(3, 54.25, 1e-3)
+    base, anchor = p._base, p._base[p._i0]
+
+    def reference(t):
+        pos = (t - p.t_min) / p.grid_step
+        near = np.round(pos)
+        pos = np.where(np.abs(pos - near) <= _GRID_RTOL * np.maximum(1.0, np.abs(near)), near, pos)
+        pos = np.clip(pos, 0.0, base.size - 1.0)
+        return np.interp(pos, np.arange(base.size), base) - anchor
+
+    off_grid = np.random.default_rng(0).uniform(p.t_min, p.t_max, 5000)
+    for t in (off_grid, p.times, np.array([p.t_min, p.t_max])):
+        assert np.array_equal(p.value_at(t), reference(t))
+    for t in off_grid[:50]:
+        assert p.value_at(float(t)) == reference(t)
