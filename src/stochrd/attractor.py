@@ -40,7 +40,8 @@ import numpy as np
 
 from .errors import CalibrationError, DivergenceError
 from .cocycle import CocycleQuery, phi
-from .fields import Field, Grid, l2_distance, norms, read_field_block, tail_mass, write_field_block
+from .fields import (Field, Grid, _l2_distances, norms, read_field_block, tail_mass,
+                     write_field_block)
 from .model import ModelSpec
 from .solver import _Column, _integrate
 from .wiener import WienerPath, quad_exp, sample_two_sided_path, shift_path
@@ -156,22 +157,20 @@ def sample_initial(family: TemperedFamilySpec, grid: Grid, radius: float,
 # -- set machinery -------------------------------------------------------------
 
 
-def _as_fields(a) -> list[Field]:
-    if isinstance(a, AttractorApprox):
-        return a.endpoints
-    return list(a)
+def _distances(fa: list[Field], fb: list[Field]) -> np.ndarray:
+    """Grid L2 distance matrix of two lists of fields on the grid of fa[0]."""
+    return _l2_distances(np.stack([f.values for f in fa]), np.stack([f.values for f in fb]),
+                         fa[0].grid)
 
 
 def hausdorff_semidist(a, b) -> float:
     """One-sided Hausdorff distance max over a of min over b in grid L2."""
-    fa, fb = _as_fields(a), _as_fields(b)
+    fa, fb = (x.endpoints if isinstance(x, AttractorApprox) else list(x) for x in (a, b))
     if not fa or not fb:
         raise ValueError("hausdorff_semidist needs nonempty sets")
-    grid = fa[0].grid
-    for f in fa + fb:
-        if f.grid != grid:
-            raise ValueError("all fields must share one grid")
-    return max(min(l2_distance(x, y) for y in fb) for x in fa)
+    if any(f.grid != fa[0].grid for f in fa + fb):
+        raise ValueError("all fields must share one grid")
+    return float(_distances(fa, fb).min(axis=1).max())
 
 
 def hausdorff_dist(a, b) -> float:
@@ -180,11 +179,13 @@ def hausdorff_dist(a, b) -> float:
 
 
 def _dedup(fields: list[Field], tol: float) -> list[Field]:
-    kept: list[Field] = []
-    for f in fields:
-        if all(l2_distance(f, g) > tol for g in kept):
-            kept.append(f)
-    return kept
+    """The fields, in order, that lie farther than tol from every field kept before them."""
+    dist = _distances(fields, fields)
+    kept: list[int] = []
+    for i in range(len(fields)):
+        if np.all(dist[i, kept] > tol):
+            kept.append(i)
+    return [fields[i] for i in kept]
 
 
 # -- pullback approximation ----------------------------------------------------

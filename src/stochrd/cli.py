@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -51,7 +52,7 @@ from .model import (
     validate_dissipativity,
 )
 from .semicontinuity import sweep_alpha
-from .wiener import _GRID_RTOL, sample_two_sided_path
+from .wiener import _whole_steps, sample_two_sided_path
 
 COMMANDS = ("check-model", "simulate", "certify", "attractor", "periodicity", "sweep-alpha")
 
@@ -68,12 +69,25 @@ _KNOWN_KEYS = {
         "c_abs", "s_trunc", "quad_step", "family", "ball_factor",
         "init_radius", "modes", "tail_radius",
     },
-    "output": {"prefix", "write_fields"},
+    "output": {"write_fields"},
 }
 
 
 class ConfigError(ValueError):
     """Unknown or malformed configuration entries."""
+
+
+def _section(name: str):
+    """Report a ValueError of the decorated builder as a ConfigError naming the section."""
+    def wrap(build):
+        @functools.wraps(build)
+        def checked(self):
+            try:
+                return build(self)
+            except ValueError as exc:
+                raise ConfigError(f"[{name}] {exc}") from exc
+        return checked
+    return wrap
 
 
 @dataclasses.dataclass
@@ -115,7 +129,6 @@ class ExperimentConfig:
     modes: int = 8
     tail_radius: float | None = None
 
-    prefix: str = "run"
     write_fields: bool = True
 
     raw_bytes: bytes = b""
@@ -141,6 +154,7 @@ class ExperimentConfig:
             )
         raise ConfigError(f"unknown forcing {self.forcing!r}")
 
+    @_section("model")
     def build_spec(self) -> ModelSpec:
         if self.nonlinearity not in ("cubic", "anticubic"):
             raise ConfigError(f"unknown nonlinearity {self.nonlinearity!r}")
@@ -152,12 +166,16 @@ class ExperimentConfig:
             spec = dataclasses.replace(spec, f=Nonlinearity("anticubic"))
         return spec
 
+    @_section("grid")
     def build_grid(self) -> Grid:
         return Grid(dim=self.dim, half_width=self.half_width, n=self.n)
 
+    @_section("experiment")
     def build_absorbing(self) -> AbsorbingSpec:
+        _whole_steps(self.s_trunc, self.quad_step, "s_trunc")  # the radius quadrature grid
         return AbsorbingSpec(c_abs=self.c_abs, s_trunc=self.s_trunc, step=self.quad_step)
 
+    @_section("experiment")
     def build_family(self) -> TemperedFamilySpec:
         return TemperedFamilySpec(
             family=self.family, radius=self.init_radius,
@@ -171,13 +189,14 @@ class ExperimentConfig:
                    abs(self.tau) + self.t_final) + 1.0
 
 
-def _require_steps(name: str, span: float, dt: float) -> None:
-    """span must be a nonnegative whole number of steps dt."""
-    if not dt > 0:
-        raise ConfigError(f"time.dt = {dt!r} must be positive")
-    k = span / dt
-    if span < 0 or abs(k - round(k)) > _GRID_RTOL * max(1.0, k):
-        raise ConfigError(f"{name} {span!r} is not a whole number of steps time.dt = {dt!r}")
+def _require_steps(name: str, span: float, step: float, step_name: str = "time.dt") -> None:
+    """span must be a nonnegative whole number of steps of the value step_name."""
+    try:
+        if span < 0:
+            raise ValueError(f"{name} = {span!r} is negative")
+        _whole_steps(span, step, name)
+    except ValueError as exc:
+        raise ConfigError(f"{exc} ({step_name})") from None
 
 
 def _sample_path(config: ExperimentConfig, seed: int, span: float):
@@ -186,17 +205,20 @@ def _sample_path(config: ExperimentConfig, seed: int, span: float):
     return sample_two_sided_path(seed, span, config.dt)
 
 
-def _require_horizons(config: ExperimentConfig) -> None:
+def _require_pullback(config: ExperimentConfig) -> None:
+    """Positive increasing whole-step horizons and at least one member per horizon."""
     horizons = list(config.horizons)
     if not horizons or horizons[0] <= 0 or sorted(horizons) != horizons:
         raise ConfigError("experiment.horizons must be positive and increasing")
     for t in horizons:
         _require_steps("experiment.horizons", t, config.dt)
+    if config.m_samples < 1:
+        raise ConfigError(f"experiment.m_samples = {config.m_samples!r} must be >= 1")
 
 
 _LIST_KEYS = {"horizons", "alphas", "seeds"}
 _INT_KEYS = {"dim", "n", "seed", "m_samples", "modes"}
-_STR_KEYS = {"nonlinearity", "forcing", "family", "prefix"}
+_STR_KEYS = {"nonlinearity", "forcing", "family"}
 _BOOL_KEYS = {"write_fields"}
 
 
@@ -281,6 +303,10 @@ def _initial_state(config: ExperimentConfig, grid: Grid, seed: int) -> Field:
 def _cmd_check_model(config: ExperimentConfig, out_dir: str, seed: int, threads: int) -> int:
     spec = config.build_spec()
     grid = config.build_grid()
+    if not config.s_trunc > 0:
+        raise ConfigError(f"experiment.s_trunc = {config.s_trunc!r} must be positive")
+    _require_steps("experiment.s_trunc", config.s_trunc, config.quad_step,
+                   "experiment.quad_step")
     diss = validate_dissipativity(spec)
     probes = [config.tau] + [-config.s_trunc * q for q in (0.25, 0.5, 0.75)]
     tempered = check_g_tempered(
@@ -336,7 +362,7 @@ def _cmd_certify(config: ExperimentConfig, out_dir: str, seed: int, threads: int
 def _cmd_attractor(config: ExperimentConfig, out_dir: str, seed: int, threads: int) -> int:
     spec = config.build_spec()
     grid = config.build_grid()
-    _require_horizons(config)
+    _require_pullback(config)
     path = _sample_path(config, seed, config.path_span())
     approx = pullback_ensemble(
         tau=config.tau, path=path, alpha=config.alpha, spec=spec, grid=grid,
@@ -354,7 +380,7 @@ def _cmd_attractor(config: ExperimentConfig, out_dir: str, seed: int, threads: i
 def _cmd_periodicity(config: ExperimentConfig, out_dir: str, seed: int, threads: int) -> int:
     spec = config.build_spec()
     grid = config.build_grid()
-    _require_horizons(config)
+    _require_pullback(config)
     path = _sample_path(config, seed, config.path_span() + config.forcing_period)
     dist, a, b = attractor_periodicity_check(
         spec, config.tau, path, config.alpha, grid, config.horizons,
@@ -382,7 +408,7 @@ def _cmd_sweep(config: ExperimentConfig, out_dir: str, seed, threads: int) -> in
     ladder = list(config.alphas)
     if not all(0.0 < a <= 1.0 for a in ladder) or sorted(set(ladder), reverse=True) != ladder:
         raise ConfigError("experiment.alphas must decrease strictly inside (0, 1]")
-    _require_horizons(config)
+    _require_pullback(config)
     # the span sweep_alpha samples for each seed
     _require_steps("the sweep path span", max(config.horizons) + config.s_trunc
                    + abs(config.tau), config.dt)

@@ -40,7 +40,7 @@ from .fields import Field, l2_distance
 from .model import ModelSpec
 from .report import CertificateReport
 from .solver import TrajectoryRecord, solve_u_transform
-from .wiener import _GRID_RTOL, WienerPath, shift_path
+from .wiener import WienerPath, _whole_steps, shift_path
 
 
 @dataclass(frozen=True)
@@ -204,10 +204,7 @@ def h1_certificate(rec: TrajectoryRecord, spec: ModelSpec, t_audit: float,
     tol = 10.0 * dt if tolerance is None else tolerance
     c1 = 1.0 + 2.0 * spec.alpha3
 
-    ka = (t_audit - rec.times[0]) / dt
-    if abs(ka - round(ka)) > _GRID_RTOL * max(1.0, abs(ka)):
-        raise ValueError("t_audit must lie on the trajectory time grid")
-    ka = int(round(ka))
+    ka = _whole_steps(t_audit - rec.t_start, dt, "t_audit - t_start")
     win = int(round(1.0 / dt))
     k0 = ka - win
     if k0 < 0 or ka > rec.times.size - 1:

@@ -154,8 +154,19 @@ class FieldNorms:
     p: float
 
 
+def _l2_sq_rows(block: np.ndarray, grid: Grid) -> np.ndarray:
+    """Squared grid L2 norm of every row of a (K, ...) block; the one L2 kernel."""
+    return grid.cell_measure * np.sum((block * block).reshape(len(block), -1), axis=1)
+
+
 def _l2_sq(values: np.ndarray, grid: Grid) -> float:
-    return float(grid.cell_measure * np.sum(values * values))
+    return float(_l2_sq_rows(values[None], grid)[0])
+
+
+def _l2_distances(a: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarray:
+    """Grid L2 distance of every row of block a to every row of block b, (len(a), len(b))."""
+    d = (a[:, None] - b[None, :]).reshape(len(a) * len(b), -1)
+    return np.sqrt(_l2_sq_rows(d, grid)).reshape(len(a), len(b))
 
 
 def _h1_sq(values: np.ndarray, grid: Grid) -> float:
@@ -214,10 +225,7 @@ def tail_mass(field: Field, k: float) -> float:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    g = field.grid
-    mask = g.radius() >= k
-    v = field.values
-    return float(g.cell_measure * np.sum((v * v)[mask]))
+    return _l2_sq(field.values[field.grid.radius() >= k], field.grid)
 
 
 # -- serialization --------------------------------------------------------

@@ -26,9 +26,9 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import Field, Grid
+from .fields import Field, Grid, _l2_sq
 from .report import CertificateReport
-from .wiener import quad_exp
+from .wiener import _whole_steps, quad_exp
 
 _TWO_PI = 2.0 * math.pi
 
@@ -90,8 +90,7 @@ ZERO_PROFILE = Profile("zero")
 
 @lru_cache(maxsize=64)
 def _profile_norm_sq(profile: Profile, grid: Grid) -> float:
-    v = profile.on_grid(grid)
-    return float(grid.cell_measure * np.sum(v * v))
+    return _l2_sq(profile.on_grid(grid), grid)
 
 
 @lru_cache(maxsize=64)
@@ -406,7 +405,7 @@ def _memory_integral(forcing: ForcingSpec, tau: float, delta: float, s_trunc: fl
     """Truncated integral of exp(delta*s) * |g(s + tau)|_{L2}^2 over [-s_trunc, 0]."""
     if delta > 0:
         return quad_exp(lambda s: forcing.l2norm_sq(s + tau, grid), delta, s_trunc, step)
-    m = int(round(s_trunc / step))
+    m = _whole_steps(s_trunc, step, "s_trunc")
     s = -s_trunc + step * np.arange(m + 1)
     return float(np.trapezoid(forcing.l2norm_sq(s + tau, grid), dx=step))
 

@@ -23,7 +23,6 @@ deterministic one; nothing is claimed in the other direction).
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -38,7 +37,7 @@ from .attractor import (
     hausdorff_semidist,
     uniform_radius,
 )
-from .fields import Field, Grid
+from .fields import Field, Grid, _l2_distances
 from .model import ModelSpec
 from .report import CertificateReport
 from .solver import _Column, _integrate
@@ -79,14 +78,12 @@ def deviation_check(spec: ModelSpec, alpha: float, tau: float, t: float,
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    cm = u_init.grid.cell_measure
     sup_sq = 0.0
 
     def observe(k, v, u, v_sq):
         nonlocal sup_sq
-        d = u[0] - u[1]
         # the arithmetic of l2_distance(...) ** 2
-        sup_sq = max(sup_sq, float(np.sqrt(cm * np.sum(d * d))) ** 2)
+        sup_sq = max(sup_sq, float(_l2_distances(u[:1], u[1:], u_init.grid)[0, 0]) ** 2)
 
     cols = [_Column(u_init.values, 0.0, t, path, a, tau) for a in (alpha, 0.0)]
     _integrate(cols, spec, u_init.grid, dt, observe=observe)  # t < 0 raises ValueError
@@ -159,26 +156,9 @@ class SweepResult:
     eps_att: float
     tail_radius: float
     contract_pass: bool
-    runtimes: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "seeds": self.seeds,
-            "alphas": self.alphas,
-            "rows": [
-                {
-                    "alpha": r.alpha, "dist": r.dist,
-                    "absorbing_radius": r.absorbing_radius,
-                    "max_tail": r.max_tail, "converged": r.converged,
-                }
-                for r in self.rows
-            ],
-            "eps_semi": self.eps_semi,
-            "eps_att": self.eps_att,
-            "tail_radius": self.tail_radius,
-            "contract_pass": self.contract_pass,
-        }
+        return asdict(self)
 
     def write_json(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -245,14 +225,12 @@ def sweep_alpha(
         tail_radius = grid.half_width / 2.0
 
     s_max = max(horizons) + absorbing.s_trunc + abs(tau)
-    runtimes: dict = {}
     dist_acc = {a: 0.0 for a in alphas}
     rad_acc = {a: 0.0 for a in alphas + [0.0]}
     tail_acc = {a: 0.0 for a in alphas + [0.0]}
     conv_acc = {a: True for a in alphas + [0.0]}
 
     for seed in seeds:
-        t0 = time.perf_counter()
         path = sample_two_sided_path(seed, s_max, dt)
         a0, *noisy = _pullback_sets(
             tau, path, [0.0] + alphas, spec, grid, horizons, m_samples, family,
@@ -266,7 +244,6 @@ def sweep_alpha(
             rad_acc[a] = max(rad_acc[a], absorbing_radius(tau, path, a, spec, absorbing, grid))
             tail_acc[a] = max(tail_acc[a], aa.max_tail(tail_radius))
             conv_acc[a] = conv_acc[a] and aa.converged
-        runtimes[seed] = time.perf_counter() - t0
 
     rows = [
         SweepRow(alpha=a, dist=dist_acc[a], absorbing_radius=rad_acc[a],
@@ -282,5 +259,5 @@ def sweep_alpha(
     return SweepResult(
         tau=tau, seeds=[int(s) for s in seeds], alphas=alphas, rows=rows,
         eps_semi=eps_semi, eps_att=eps_att, tail_radius=float(tail_radius),
-        contract_pass=contract, runtimes=runtimes,
+        contract_pass=contract,
     )

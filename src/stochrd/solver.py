@@ -58,9 +58,9 @@ from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dpbtrs, dpttrf, dpttrs
 
 from .errors import DivergenceError
-from .fields import Field, Grid, _h1_sq, _lp_p
-from .model import ModelSpec
-from .wiener import _GRID_RTOL, WienerPath
+from .fields import Field, Grid, _h1_sq, _l2_sq_rows, _lp_p
+from .model import ModelSpec, _profile_norm_sq
+from .wiener import WienerPath, _whole_steps
 
 #: steps per table window of path weights and forcing amplitudes
 _WINDOW = 1024
@@ -181,12 +181,7 @@ class TrajectoryRecord:
 def _n_steps(t_start: float, t_end: float, dt: float) -> int:
     if t_end < t_start:
         raise ValueError("t_end must be >= t_start")
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    k = (t_end - t_start) / dt
-    if abs(k - round(k)) > _GRID_RTOL * max(1.0, abs(k)):
-        raise ValueError("t_end - t_start must be an integer multiple of dt")
-    return int(round(k))
+    return _whole_steps(t_end - t_start, dt, "t_end - t_start")
 
 
 # -- the integrator core -----------------------------------------------------
@@ -319,7 +314,6 @@ def _integrate(columns, spec: ModelSpec, grid: Grid, dt: float, diffusion: bool 
     starts = [n_max - ns[j] for j in order]
     sch = scheme(spec, grid, dt, diffusion, np.array([c.alpha for c in cols]))
     state = np.zeros((len(cols),) + grid.shape)
-    cm = grid.cell_measure
     active = 0
 
     def visit(g, tab, i):
@@ -328,7 +322,7 @@ def _integrate(columns, spec: ModelSpec, grid: Grid, dt: float, diffusion: bool 
             state[active] = sch.start(cols[active].u_init, tab, i, active)
             active += 1
         v, u = sch.views(state[:active], tab, i, active)
-        v_sq = cm * np.sum((v * v).reshape(active, -1), axis=1)
+        v_sq = _l2_sq_rows(v, grid)
         if not np.all(np.isfinite(v_sq)):
             j = int(np.argmin(np.isfinite(v_sq)))
             raise DivergenceError(cols[j].t_start + dt * (g - starts[j]), column=order[j])
@@ -360,8 +354,7 @@ def _record(scheme: type, u_init: Field, t_start: float, t_end: float, path: Wie
     col = _Column(u_init.values, t_start, t_end, path, spec.alpha, forcing_offset)
     times, omega, amp = _series(col, spec, dt, 0, n)
     cm = grid.cell_measure
-    profile = None if spec.g.is_zero() else spec.g.profile.on_grid(grid)
-    prof_sq = float(cm * np.sum(profile * profile)) if profile is not None else 0.0
+    prof_sq = 0.0 if spec.g.is_zero() else _profile_norm_sq(spec.g.profile, grid)
     z = np.exp(-spec.alpha * omega)
     z_sq = z * z
     g_sq = amp * amp * prof_sq

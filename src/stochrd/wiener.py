@@ -37,6 +37,17 @@ DEFAULT_QUAD_STEP = 0.01
 _GRID_RTOL = 1e-9
 
 
+def _whole_steps(span: float, step: float, what: str) -> int:
+    """k = span / step as an int; ValueError naming what unless step > 0 and
+    k lies within _GRID_RTOL * max(1, |k|) of an integer."""
+    if not step > 0:
+        raise ValueError(f"{what}: step {step!r} must be positive")
+    k = span / step
+    if abs(k - round(k)) > _GRID_RTOL * max(1.0, abs(k)):
+        raise ValueError(f"{what} = {span!r} is not a whole number of steps {step!r}")
+    return int(round(k))
+
+
 class WienerPath:
     """Piecewise-linear two-sided path on a uniform grid.
 
@@ -69,10 +80,7 @@ class WienerPath:
     def from_samples(cls, samples, grid_step: float, t_min: float) -> "WienerPath":
         """Wrap explicit samples; samples must contain t = 0 with value 0."""
         samples = np.asarray(samples, dtype=float)
-        i0 = -t_min / grid_step
-        if abs(i0 - round(i0)) > _GRID_RTOL:
-            raise ValueError("t_min must be an integer multiple of grid_step")
-        i0 = int(round(i0))
+        i0 = _whole_steps(-t_min, grid_step, "-t_min")
         if not 0 <= i0 < samples.size:
             raise ValueError("window does not contain t = 0")
         if samples[i0] != 0.0:
@@ -97,18 +105,6 @@ class WienerPath:
     def samples(self) -> np.ndarray:
         """Path values on the grid, anchored so the value at t = 0 is 0."""
         return self._base - self._base[self._i0]
-
-    def _index_of(self, t: float) -> int:
-        k = t / self.grid_step
-        kr = round(k)
-        if abs(k - kr) > _GRID_RTOL * max(1.0, abs(k)):
-            raise ValueError(f"t={t!r} is not on the sample grid")
-        idx = self._i0 + int(kr)
-        if not 0 <= idx < self._base.size:
-            raise WindowExceededError(
-                f"t={t!r} outside sampled window [{self.t_min:.6g}, {self.t_max:.6g}]"
-            )
-        return idx
 
     # -- evaluation -------------------------------------------------------
 
@@ -138,7 +134,11 @@ class WienerPath:
 
     def shift(self, t: float) -> "WienerPath":
         """The shifted path s -> w(s + t) - w(t); t must lie on the grid."""
-        idx = self._index_of(t)
+        idx = self._i0 + _whole_steps(t, self.grid_step, "t")
+        if not 0 <= idx < self._base.size:
+            raise WindowExceededError(
+                f"t={t!r} outside sampled window [{self.t_min:.6g}, {self.t_max:.6g}]"
+            )
         return WienerPath(self._base, idx, self.grid_step, seed=self.seed)
 
     # -- export -----------------------------------------------------------
@@ -168,12 +168,7 @@ def sample_two_sided_path(seed: int, s_max: float, grid_step: float) -> WienerPa
     """
     if not s_max > 0:
         raise ValueError("s_max must be positive")
-    if not grid_step > 0:
-        raise ValueError("grid_step must be positive")
-    n = s_max / grid_step
-    if abs(n - round(n)) > _GRID_RTOL * max(1.0, n):
-        raise ValueError("s_max must be an integer multiple of grid_step")
-    n = int(round(n))
+    n = _whole_steps(s_max, grid_step, "s_max")
     fwd_ss, bwd_ss = np.random.SeedSequence(seed).spawn(2)
     std = np.sqrt(grid_step)
     fwd = np.random.default_rng(fwd_ss).normal(0.0, std, size=n)
@@ -224,12 +219,7 @@ def quad_exp(
         raise ValueError("rate must be positive")
     if not s_trunc > 0:
         raise ValueError("s_trunc must be positive")
-    if not step > 0:
-        raise ValueError("step must be positive")
-    m = s_trunc / step
-    if abs(m - round(m)) > _GRID_RTOL * max(1.0, m):
-        raise ValueError("s_trunc must be an integer multiple of step")
-    m = int(round(m))
+    m = _whole_steps(s_trunc, step, "s_trunc")
     s = -s_trunc + step * np.arange(m + 1)
     vals = np.asarray(h(s), dtype=float)
     if vals.shape != s.shape:

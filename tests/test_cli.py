@@ -190,10 +190,25 @@ def test_step_grid_mismatch_exits_2(tmp_path, capsys):
     assert "time.dt" in capsys.readouterr().err
 
 
-def test_alpha_out_of_range_exits_2(tmp_path, capsys):
-    text = SMALL.replace("alpha = 0.5", "alpha = 1.5")
-    assert main(["simulate", "--config", write_config(tmp_path, text)]) == 2
-    assert "model.alpha" in capsys.readouterr().err
+@pytest.mark.parametrize("command, old, new, named", [
+    ("simulate", "alpha = 0.5", "alpha = 1.5", "model.alpha"),
+    ("attractor", "family = constant", "family = custom", "[experiment]"),
+    ("attractor", "[time]", "[grid]\nn = 2\n\n[time]", "[grid]"),
+    ("attractor", "alpha = 0.5", "alpha = 0.5\nlam = -1", "[model]"),
+    ("attractor", "alpha = 0.5", "alpha = 0.5\ndelta = 5", "[model]"),
+    ("attractor", "m_samples = 2", "m_samples = 0", "experiment.m_samples"),
+    ("attractor", "s_trunc = 2.0", "s_trunc = 2.0\nc_abs = 0", "[experiment]"),
+    ("check-model", "s_trunc = 2.0", "s_trunc = 40.005", "experiment.s_trunc"),
+    ("check-model", "s_trunc = 2.0", "s_trunc = 0", "experiment.s_trunc"),
+    ("sweep-alpha", "s_trunc = 2.0", "s_trunc = 2.005", "[experiment] s_trunc"),
+], ids=["alpha", "family", "n", "lam", "delta", "m_samples", "c_abs", "s_trunc",
+        "s_trunc-zero", "s_trunc-sweep"])
+def test_invalid_value_exits_2(tmp_path, capsys, command, old, new, named):
+    text = SMALL.replace(old, new)
+    assert text != SMALL
+    assert main([command, "--config", write_config(tmp_path, text),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_unused_spans_do_not_reject(tmp_path):

@@ -1,10 +1,12 @@
-"""Property tests of exact invariants: block deviation, shift group law, field IO."""
+"""Property tests of exact invariants: block deviation, shift group law, field IO,
+the whole-step rule, the L2 kernels, the weight cocycle and the sign of margins."""
 
 import os
 import tempfile
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -12,18 +14,29 @@ from hypothesis.extra.numpy import arrays
 from stochrd import (
     Field,
     Grid,
+    WienerPath,
     canonical_cubic,
     deviation_check,
+    energy_certificate,
+    h1_certificate,
+    hausdorff_semidist,
     l2_distance,
     path_smallness,
     periodic_bump_forcing,
     read_field_block,
     sample_two_sided_path,
     shift_path,
+    solve_u_transform,
+    tail_mass,
     write_field_block,
+    z_value,
 )
 from stochrd import solver
+from stochrd.attractor import _dedup
+from stochrd.fields import _l2_distances, _l2_sq_rows
+from stochrd.model import _memory_integral
 from stochrd.solver import _Column, _integrate
+from stochrd.wiener import _whole_steps
 
 DT = 1e-2
 PATH = sample_two_sided_path(11, 2.0, DT)
@@ -89,3 +102,99 @@ def test_field_block_round_trip(field):
         back = read_field_block(name)
     assert back.grid == field.grid
     assert back.values.tobytes() == field.values.tobytes()
+
+
+# -- the whole-step rule ----------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(0, 10**6), step=st.floats(1e-4, 10.0))
+def test_whole_steps_counts_grid_spans_and_rejects_others(k, step):
+    assert _whole_steps(k * step, step, "span") == k
+    assert _whole_steps(-k * step, step, "span") == -k
+    with pytest.raises(ValueError, match="span"):
+        _whole_steps((k + 0.5) * step, step, "span")
+
+
+def test_from_samples_and_memory_integral_follow_the_rule():
+    with pytest.raises(ValueError, match="step"):
+        _whole_steps(1.0, 0.0, "span")
+    # from_samples scales the tolerance by max(1, |k|), like every other site
+    assert WienerPath.from_samples(np.zeros(1002), 1.0, -(1000 + 5e-7)).t_min == -1000.0
+    with pytest.raises(ValueError, match="t_min"):
+        WienerPath.from_samples(np.zeros(5), 1.0, -1.5)
+    forcing = periodic_bump_forcing(0.05)
+    grid = Grid(dim=1, half_width=8.0, n=17)
+    for delta in (0.0, 0.5):
+        assert _memory_integral(forcing, 0.0, delta, 40.0, 0.01, grid) > 0.0
+        with pytest.raises(ValueError, match="s_trunc"):
+            _memory_integral(forcing, 0.0, delta, 40.005, 0.01, grid)
+
+
+# -- the L2 kernel and the set distances --------------------------------------------------
+
+
+@st.composite
+def endpoint_blocks(draw):
+    grid = Grid(dim=draw(st.sampled_from([1, 2])), half_width=4.0, n=17)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-8.0, 2.0))
+
+    def block():
+        m = draw(st.integers(1, 7))
+        values = scale * rng.standard_normal((m,) + grid.shape)
+        # repeated rows give dedup something to collapse
+        return values[rng.integers(0, m, size=m)] if draw(st.booleans()) else values
+
+    return grid, block(), block()
+
+
+@settings(max_examples=100, deadline=None)
+@given(endpoint_blocks(), st.sampled_from([0.0, 1e-9, 1e-3, 1.0]))
+def test_distance_kernels_match_the_field_loops(blocks, tol):
+    grid, a, b = blocks
+    fa = [Field(grid, v) for v in a]
+    fb = [Field(grid, v) for v in b]
+    dist = _l2_distances(np.stack([f.values for f in fa]), np.stack([f.values for f in fb]),
+                         grid)
+    loop = np.array([[l2_distance(x, y) for y in fb] for x in fa])
+    assert dist.tobytes() == loop.tobytes()
+    assert hausdorff_semidist(fa, fb) == max(min(l2_distance(x, y) for y in fb) for x in fa)
+    cm = grid.cell_measure
+    rows = _l2_sq_rows(np.stack([f.values for f in fa]), grid)
+    assert rows.tolist() == [float(cm * np.sum(f.values * f.values)) for f in fa]
+    radius = grid.radius()
+    v = fa[0].values
+    assert tail_mass(fa[0], 1.0) == float(cm * np.sum((v * v)[radius >= 1.0]))
+    kept = []
+    for f in fa:
+        if all(l2_distance(f, g) > tol for g in kept):
+            kept.append(f)
+    assert _dedup(fa, tol) == kept
+
+
+# -- the conjugation weight and the sign of margins ----------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=grid_steps, data=st.data(), alpha=st.floats(0.0, 1.0))
+def test_weight_cocycle(t, data, alpha):
+    s = data.draw(st.integers(-200 - min(t, 0), 200 - max(t, 0)))
+    composed = z_value(PATH, alpha, t * DT) * z_value(shift_path(PATH, t * DT), alpha, s * DT)
+    assert composed == pytest.approx(z_value(PATH, alpha, t * DT + s * DT), rel=1e-12, abs=0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(alpha=st.floats(0.0, 1.0), steps=st.integers(100, 200), scale=st.floats(0.0, 3.0),
+       tolerance=st.one_of(st.none(), st.floats(-1.0, 1.0)))
+def test_margin_sign_convention(alpha, steps, scale, tolerance):
+    grid = Grid(dim=1, half_width=4.0, n=17)
+    u0 = Field.from_function(grid, lambda x: scale * np.exp(-x * x))
+    spec = SPEC.with_alpha(alpha)
+    rec = solve_u_transform(u0, 0.0, steps * DT, PATH, spec, DT)
+    for check in (lambda tol: energy_certificate(rec, spec, tol),
+                  lambda tol: h1_certificate(rec, spec, rec.t_end, tol)):
+        rep = check(tolerance)
+        assert rep.passed == (rep.worst_margin >= -rep.tolerance)
+        # a margin exactly at minus the tolerance passes
+        assert check(-rep.worst_margin).passed
