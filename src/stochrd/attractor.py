@@ -22,11 +22,12 @@ Endpoint sets are deduplicated at a fixed resolution, which collapses
 the approximation to its distinct states (a single one for strongly
 contracting models).
 
-Every member of every horizon, and in a sweep every intensity, shares
-the anchor's path, grid and step, so one call integrates them all as a
-single column block of the solver core (horizons aligned at the anchor,
-the deepest starting first).  The tempered radius of the initial
-family is computed once per (intensity, horizon), not per member.
+Every member of every horizon, in a sweep every intensity and in a
+periodicity check both anchors, shares the path, grid and step, so one
+call integrates them all as a single column block of the solver core
+(horizons aligned at their anchor, the deepest starting first), as
+calibrate_c does its reference ensemble.  The tempered radius of the
+initial family is computed once per (anchor, intensity, horizon).
 """
 
 from __future__ import annotations
@@ -34,17 +35,20 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import CalibrationError, DivergenceError
-from .cocycle import CocycleQuery, phi
 from .fields import (Field, Grid, _l2_distances, norms, read_field_block, tail_mass,
                      write_field_block)
 from .model import ModelSpec
 from .solver import _Column, _integrate
 from .wiener import WienerPath, quad_exp, sample_two_sided_path, shift_path
+
+#: resolution at which pullback endpoint sets are deduplicated
+_DEDUP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -62,37 +66,34 @@ class AbsorbingSpec:
             raise ValueError("s_trunc and step must be positive")
 
 
-def _radius_integral(tau: float, spec: ModelSpec, absorbing: AbsorbingSpec,
-                     grid: Grid, weight: Callable[[np.ndarray], np.ndarray]) -> float:
+def _radius(tau: float, spec: ModelSpec, absorbing: AbsorbingSpec, grid: Grid,
+            weight: Callable[[np.ndarray], np.ndarray]) -> float:
+    """c_abs times the root of the memory integral of weight(s) (1 + |g(s + tau)|^2)."""
     def h(s):
         return weight(s) * (1.0 + np.asarray(spec.g.l2norm_sq(s + tau, grid), dtype=float))
 
-    return quad_exp(h, spec.lam, absorbing.s_trunc, absorbing.step)
+    integral = quad_exp(h, spec.lam, absorbing.s_trunc, absorbing.step)
+    return absorbing.c_abs * float(np.sqrt(integral))
 
 
 def absorbing_radius(tau: float, path: WienerPath, alpha: float, spec: ModelSpec,
                      absorbing: AbsorbingSpec, grid: Grid) -> float:
     """Pathwise absorbing radius M_alpha(tau, w)."""
-    integral = _radius_integral(
-        tau, spec, absorbing, grid, lambda s: np.exp(-2.0 * alpha * path.value_at(s))
-    )
-    return absorbing.c_abs * float(np.sqrt(integral))
+    return _radius(tau, spec, absorbing, grid,
+                   lambda s: np.exp(-2.0 * alpha * path.value_at(s)))
 
 
 def deterministic_radius(tau: float, spec: ModelSpec, absorbing: AbsorbingSpec,
                          grid: Grid) -> float:
     """Zero-noise radius M_0(tau); path weight identically one."""
-    integral = _radius_integral(tau, spec, absorbing, grid, lambda s: np.ones_like(s))
-    return absorbing.c_abs * float(np.sqrt(integral))
+    return _radius(tau, spec, absorbing, grid, lambda s: np.ones_like(s))
 
 
 def uniform_radius(tau: float, path: WienerPath, spec: ModelSpec,
                    absorbing: AbsorbingSpec, grid: Grid) -> float:
     """Envelope radius R(tau, w) dominating M_alpha for every alpha in [0, 1]."""
-    integral = _radius_integral(
-        tau, spec, absorbing, grid, lambda s: np.exp(2.0 * np.abs(path.value_at(s)))
-    )
-    return absorbing.c_abs * float(np.sqrt(integral))
+    return _radius(tau, spec, absorbing, grid,
+                   lambda s: np.exp(2.0 * np.abs(path.value_at(s))))
 
 
 # -- tempered initial families ----------------------------------------------
@@ -275,7 +276,7 @@ def _endpoints(columns, spec: ModelSpec, grid: Grid, dt: float, workers: int) ->
 
 
 def _pullback_sets(
-    tau: float,
+    anchors: Sequence[tuple[float, int]],
     path: WienerPath,
     alphas: Sequence[float],
     spec: ModelSpec,
@@ -287,15 +288,14 @@ def _pullback_sets(
     dt: float,
     eps_att: float,
     dedup_tol: float,
-    seed: int,
     workers: int,
 ) -> list[AttractorApprox]:
-    """Pullback approximations at one anchor, one per intensity.
+    """Pullback approximations, one per (anchor, intensity) in that order.
 
-    Every member of every horizon and intensity is one column of a single
-    block integration.  The initial radius is computed once per
-    (intensity, horizon); member draws are keyed by (seed, horizon index,
-    member index) and so shared across intensities.
+    Every member of every (tau, seed) anchor, intensity and horizon is
+    one column of a single block integration.  The initial radius is
+    computed once per (anchor, intensity, horizon); member draws are keyed
+    by (seed, horizon index, member index) and so shared across intensities.
     """
     horizons = [float(t) for t in horizons]
     if not horizons or any(t <= 0 for t in horizons):
@@ -309,7 +309,7 @@ def _pullback_sets(
 
     shifted = [shift_path(path, -t) for t in horizons]
     columns = []
-    for alpha in alphas:
+    for (tau, seed), alpha in product(anchors, alphas):
         for i, t in enumerate(horizons):
             radius = family.radius_at(tau - t, shifted[i], alpha, spec, absorbing, grid)
             for j in range(m_samples):
@@ -319,7 +319,7 @@ def _pullback_sets(
     ends = iter(_endpoints(columns, spec, grid, dt, workers))
 
     out = []
-    for alpha in alphas:
+    for (tau, seed), alpha in product(anchors, alphas):
         sets: list[list[Field]] = []
         distances: list[float] = []
         for _ in horizons:
@@ -348,7 +348,7 @@ def pullback_ensemble(
     absorbing: AbsorbingSpec,
     dt: float = 1e-3,
     eps_att: float = 1e-3,
-    dedup_tol: float = 1e-9,
+    dedup_tol: float = _DEDUP_TOL,
     seed: int = 0,
     workers: int = 1,
 ) -> AttractorApprox:
@@ -364,8 +364,8 @@ def pullback_ensemble(
     share their initial shapes across intensities.  workers > 1 splits
     the block over that many processes with identical results.
     """
-    return _pullback_sets(tau, path, [alpha], spec, grid, horizons, m_samples, family,
-                          absorbing, dt, eps_att, dedup_tol, seed, workers)[0]
+    return _pullback_sets([(tau, seed)], path, [alpha], spec, grid, horizons, m_samples,
+                          family, absorbing, dt, eps_att, dedup_tol, workers)[0]
 
 
 def attractor_periodicity_check(
@@ -385,19 +385,15 @@ def attractor_periodicity_check(
 ) -> tuple[float, AttractorApprox, AttractorApprox]:
     """Symmetric Hausdorff distance between sections at tau and tau + T.
 
-    Requires periodic forcing.  The two approximations use independent
-    initial draws (child seeds), so agreement certifies set convergence
-    rather than replaying identical arithmetic.
+    Requires periodic forcing.  Both anchors run as one column block with
+    independent initial draws (child seeds), so agreement certifies set
+    convergence rather than replaying identical arithmetic.
     """
     if spec.g.period is None:
         raise ValueError("attractor_periodicity_check needs forcing with a period")
-    common = dict(
-        path=path, alpha=alpha, spec=spec, grid=grid, horizons=horizons,
-        m_samples=m_samples, family=family, absorbing=absorbing, dt=dt,
-        eps_att=eps_att, workers=workers,
-    )
-    a = pullback_ensemble(tau=tau, seed=seed * 2 + 1, **common)
-    b = pullback_ensemble(tau=tau + spec.g.period, seed=seed * 2 + 2, **common)
+    a, b = _pullback_sets([(tau, seed * 2 + 1), (tau + spec.g.period, seed * 2 + 2)], path,
+                          [alpha], spec, grid, horizons, m_samples, family, absorbing, dt,
+                          eps_att, _DEDUP_TOL, workers)
     return hausdorff_dist(a, b), a, b
 
 
@@ -424,11 +420,11 @@ def calibrate_c(spec: ModelSpec, grid: Grid, absorbing_base: AbsorbingSpec | Non
     """Smallest grid constant absorbing a reference ensemble, doubled.
 
     Runs pullback trajectories from a large constant ball across the
-    configured seeds and intensities, computes for each run the ratio of
-    the terminal norm to the unit-constant radius integral, and walks
-    the candidate grid c = c_floor * sqrt(2)^k upward until every ratio
-    is covered.  The first covering candidate times the safety factor is
-    returned; exhausting the grid raises CalibrationError.
+    configured seeds and intensities as one column block, computes for
+    each run the ratio of the terminal norm to the unit-constant radius
+    integral, and walks the candidate grid c = c_floor * sqrt(2)^k upward
+    until every ratio is covered.  The first covering candidate times the
+    safety factor is returned; exhausting the grid raises CalibrationError.
     """
     cfg = config or CalibrationConfig()
     base = absorbing_base or AbsorbingSpec(c_abs=1.0)
@@ -436,20 +432,19 @@ def calibrate_c(spec: ModelSpec, grid: Grid, absorbing_base: AbsorbingSpec | Non
     family = TemperedFamilySpec("constant", radius=cfg.init_radius, modes=cfg.modes)
 
     s_max = max(cfg.horizon, base.s_trunc)
-    ratios = []
+    columns, m_units = [], []
     for seed in cfg.seeds:
         path = sample_two_sided_path(seed, s_max, cfg.dt)
+        shifted = shift_path(path, -cfg.horizon)
         for alpha in cfg.alphas:
-            shifted = shift_path(path, -cfg.horizon)
-            m_unit = absorbing_radius(cfg.tau, path, alpha, spec, unit, grid)
+            m_units += [absorbing_radius(cfg.tau, path, alpha, spec, unit, grid)] * cfg.m_samples
             for j in range(cfg.m_samples):
                 rng = np.random.default_rng(np.random.SeedSequence((seed, 7, j)))
                 u0 = sample_initial(family, grid, cfg.init_radius, rng)
-                out = phi(CocycleQuery(cfg.horizon, cfg.tau - cfg.horizon, shifted, u0, alpha),
-                          spec, cfg.dt)
-                ratios.append(norms(out).l2 / m_unit)
-
-    needed = max(ratios)
+                columns.append(_Column(u0.values, 0.0, cfg.horizon, shifted, alpha,
+                                       cfg.tau - cfg.horizon))
+    ends = _integrate(columns, spec, grid, cfg.dt)[1]
+    needed = max(norms(Field(grid, u)).l2 / m for u, m in zip(ends, m_units))
     c = cfg.c_floor
     while c <= cfg.c_cap:
         if c >= needed:

@@ -343,6 +343,8 @@ def _cmd_simulate(config: ExperimentConfig, out_dir: str, seed: int, threads: in
 
 
 def _cmd_certify(config: ExperimentConfig, out_dir: str, seed: int, threads: int) -> int:
+    if config.t_final >= 1.0:  # the gradient certificate audits the trailing unit window
+        _require_steps("the unit audit window", 1.0, config.dt)
     spec, _, rec = _run_record(config, seed)
     _write_trajectory_csv(rec, os.path.join(out_dir, "trajectory.csv"))
     energy = energy_certificate(rec, spec)

@@ -39,7 +39,7 @@ import numpy as np
 from .fields import Field, l2_distance
 from .model import ModelSpec
 from .report import CertificateReport
-from .solver import TrajectoryRecord, solve_u_transform
+from .solver import TrajectoryRecord, _Column, _integrate, solve_u_transform
 from .wiener import WienerPath, _whole_steps, shift_path
 
 
@@ -100,28 +100,29 @@ def cocycle_law_defect(spec: ModelSpec, t: float, s: float, r: float,
 
     Compares the one-shot run over elapsed t + s from symbol time r with
     the two-leg run: elapsed s from r, then elapsed t from s + r along
-    the path shifted by s.  Zero for the exact operator; the measured
-    value reflects scheme roundoff.
+    the path shifted by s; the one-shot run and the first leg form one
+    block.  Zero for the exact operator; the value reflects roundoff.
     """
-    one = phi(CocycleQuery(t + s, r, path, u_init), spec, dt)
-    inner = phi(CocycleQuery(s, r, path, u_init), spec, dt)
-    outer = phi(CocycleQuery(t, s + r, shift_path(path, s), inner), spec, dt)
-    return l2_distance(one, outer)
+    cols = [_Column(u_init.values, 0.0, span, path, spec.alpha, r) for span in (t + s, s)]
+    one, inner = _integrate(cols, spec, u_init.grid, dt)[1]
+    outer = phi(CocycleQuery(t, s + r, shift_path(path, s), Field(u_init.grid, inner)), spec, dt)
+    return l2_distance(Field(u_init.grid, one), outer)
 
 
 def periodic_cocycle_check(spec: ModelSpec, t: float, tau: float,
                            path: WienerPath, u_init: Field, dt: float = 1e-3) -> float:
     """Distance between runs started at tau and tau + period.
 
-    Requires time-periodic forcing.  Both runs see identical path
-    segments and, with the built-in periodic family, identical forcing
-    samples, so the expected value is zero up to roundoff.
+    Requires time-periodic forcing.  Both runs, one two-column block, see
+    identical path segments and, with the built-in periodic family,
+    identical forcing samples, so the expected value is zero up to roundoff.
     """
     if spec.g.period is None:
         raise ValueError("periodic_cocycle_check needs forcing with a period")
-    a = phi(CocycleQuery(t, tau, path, u_init), spec, dt)
-    b = phi(CocycleQuery(t, tau + spec.g.period, path, u_init), spec, dt)
-    return l2_distance(a, b)
+    cols = [_Column(u_init.values, 0.0, t, path, spec.alpha, offset)
+            for offset in (tau, tau + spec.g.period)]
+    a, b = _integrate(cols, spec, u_init.grid, dt)[1]
+    return l2_distance(Field(u_init.grid, a), Field(u_init.grid, b))
 
 
 # -- certificates ------------------------------------------------------------
@@ -205,8 +206,7 @@ def h1_certificate(rec: TrajectoryRecord, spec: ModelSpec, t_audit: float,
     c1 = 1.0 + 2.0 * spec.alpha3
 
     ka = _whole_steps(t_audit - rec.t_start, dt, "t_audit - t_start")
-    win = int(round(1.0 / dt))
-    k0 = ka - win
+    k0 = ka - _whole_steps(1.0, dt, "the unit audit window")
     if k0 < 0 or ka > rec.times.size - 1:
         raise ValueError("audit window [t_audit - 1, t_audit] not inside the record")
 

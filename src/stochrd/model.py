@@ -20,7 +20,7 @@ Divergence is reported as a failed certificate, not an exception.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -259,8 +259,6 @@ class ModelSpec:
             raise ValueError("delta must lie in [0, lam)")
 
     def with_alpha(self, alpha: float) -> "ModelSpec":
-        from dataclasses import replace
-
         return replace(self, alpha=alpha)
 
     def psi1_integral(self, grid: Grid) -> float:

@@ -31,6 +31,7 @@ import numpy as np
 from .attractor import (
     AbsorbingSpec,
     TemperedFamilySpec,
+    _DEDUP_TOL,
     _pullback_sets,
     absorbing_radius,
     deterministic_radius,
@@ -41,13 +42,16 @@ from .fields import Field, Grid, _l2_distances
 from .model import ModelSpec
 from .report import CertificateReport
 from .solver import _Column, _integrate
-from .wiener import WienerPath, sample_two_sided_path
+from .wiener import _GRID_RTOL, WienerPath, sample_two_sided_path
 
 
 def path_smallness(path: WienerPath, alpha: float, t_lo: float, t_hi: float) -> float:
-    """eps(alpha) = sup over [t_lo, t_hi] of |e^{aw} - 1| + |e^{-aw} - 1|."""
+    """eps(alpha) = sup over grid times in [t_lo, t_hi] of |e^{aw} - 1| + |e^{-aw} - 1|."""
     times = path.times
-    mask = (times >= t_lo - 1e-12) & (times <= t_hi + 1e-12)
+    slack = _GRID_RTOL * path.grid_step
+    mask = (times >= t_lo - slack) & (times <= t_hi + slack)
+    if not np.any(mask):
+        raise ValueError(f"no grid time of the path in [{t_lo!r}, {t_hi!r}]")
     w = path.samples[mask]
     return float(np.max(np.abs(np.expm1(alpha * w)) + np.abs(np.expm1(-alpha * w))))
 
@@ -200,7 +204,7 @@ def sweep_alpha(
     eps_att: float = 1e-3,
     eps_semi: float = 5e-3,
     tail_radius: float | None = None,
-    dedup_tol: float = 1e-9,
+    dedup_tol: float = _DEDUP_TOL,
     workers: int = 1,
 ) -> SweepResult:
     """Upper-semicontinuity sweep at one anchor over a decreasing ladder.
@@ -233,8 +237,8 @@ def sweep_alpha(
     for seed in seeds:
         path = sample_two_sided_path(seed, s_max, dt)
         a0, *noisy = _pullback_sets(
-            tau, path, [0.0] + alphas, spec, grid, horizons, m_samples, family,
-            absorbing, dt, eps_att, dedup_tol, seed, workers,
+            [(tau, seed)], path, [0.0] + alphas, spec, grid, horizons, m_samples, family,
+            absorbing, dt, eps_att, dedup_tol, workers,
         )
         rad_acc[0.0] = max(rad_acc[0.0], deterministic_radius(tau, spec, absorbing, grid))
         tail_acc[0.0] = max(tail_acc[0.0], a0.max_tail(tail_radius))

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from stochrd import (
     AttractorApprox,
     CalibrationConfig,
     CalibrationError,
+    CocycleQuery,
     DivergenceError,
     Field,
     Grid,
@@ -28,6 +30,7 @@ from stochrd import (
     Nonlinearity,
     norms,
     periodic_bump_forcing,
+    phi,
     pullback_ensemble,
     sample_initial,
     sample_two_sided_path,
@@ -36,8 +39,9 @@ from stochrd import (
     tail_uniformity_report,
     uniform_radius,
 )
+from stochrd import attractor
 from stochrd.attractor import _endpoints
-from stochrd.solver import _Column
+from stochrd.solver import _Column, _integrate
 
 G = Grid(dim=1, half_width=8.0, n=257)
 SPEC = canonical_cubic(alpha=0.5, forcing=periodic_bump_forcing(0.05))
@@ -371,6 +375,38 @@ def test_calibrate_c_quantized_and_deterministic():
     assert c1 >= cfg.safety * cfg.c_floor
     k = 2.0 * math.log2(c1 / (cfg.safety * cfg.c_floor))
     assert abs(k - round(k)) < 1e-9  # lands on the sqrt(2) ladder
+
+
+def test_calibrate_c_matches_member_loop():
+    # c_floor far below every ratio, so the ladder walk is set by the largest ratio
+    cfg = CalibrationConfig(seeds=(3, 4), alphas=(0.0, 0.6, 1.0), horizon=0.5, m_samples=2,
+                            init_radius=4.0, c_floor=2.0 ** -20, dt=1e-2)
+    grid = Grid(dim=1, half_width=8.0, n=33)
+    unit = AbsorbingSpec(c_abs=1.0)
+    fam = TemperedFamilySpec("constant", radius=cfg.init_radius, modes=cfg.modes)
+    ends, ratios = [], []
+    for seed in cfg.seeds:
+        path = sample_two_sided_path(seed, unit.s_trunc, cfg.dt)
+        for alpha in cfg.alphas:
+            m_unit = absorbing_radius(cfg.tau, path, alpha, SPEC, unit, grid)
+            for j in range(cfg.m_samples):
+                rng = np.random.default_rng(np.random.SeedSequence((seed, 7, j)))
+                u0 = sample_initial(fam, grid, cfg.init_radius, rng)
+                out = phi(CocycleQuery(cfg.horizon, cfg.tau - cfg.horizon,
+                                       shift_path(path, -cfg.horizon), u0, alpha), SPEC, cfg.dt)
+                ends.append(out.values)
+                ratios.append(norms(out).l2 / m_unit)
+    c = cfg.c_floor
+    while c < max(ratios):
+        c *= 2.0 ** 0.5
+    blocks = []
+    with mock.patch.object(attractor, "_integrate",
+                           side_effect=lambda *a, **k: blocks.append(_integrate(*a, **k))
+                           or blocks[-1]):
+        assert calibrate_c(SPEC, grid, config=cfg) == cfg.safety * c
+    assert len(blocks) == 1  # one core call for the whole ensemble
+    assert np.array_equal(blocks[0][1], np.array(ends))
+    assert c > 2.0 ** 10 * cfg.c_floor
 
 
 def test_calibrate_c_raises_when_capped():

@@ -28,7 +28,7 @@ PATH = sample_two_sided_path(11, 2.0, DT)
 SPEC = canonical_cubic(alpha=0.5, forcing=periodic_bump_forcing(0.05))
 
 column = st.tuples(
-    st.integers(1, 60),                        # steps
+    st.integers(0, 60),                        # steps
     st.sampled_from([0.0, 0.3, 1.0]),          # alpha
     st.floats(0.05, 2.0),                      # initial amplitude
     st.integers(0, 2**32 - 1),                 # initial shape seed

@@ -201,8 +201,12 @@ def test_step_grid_mismatch_exits_2(tmp_path, capsys):
     ("check-model", "s_trunc = 2.0", "s_trunc = 40.005", "experiment.s_trunc"),
     ("check-model", "s_trunc = 2.0", "s_trunc = 0", "experiment.s_trunc"),
     ("sweep-alpha", "s_trunc = 2.0", "s_trunc = 2.005", "[experiment] s_trunc"),
+    # t_final and s_max are whole steps of dt = 0.003; the unit window is not
+    ("certify", "t_final = 1.0\n\n[noise]\nseed = 7\ns_max = 4.0",
+     "dt = 0.003\nt_final = 1.5\n\n[noise]\nseed = 7\ns_max = 3.0",
+     "unit audit window = 1.0 is not a whole number of steps 0.003 (time.dt)"),
 ], ids=["alpha", "family", "n", "lam", "delta", "m_samples", "c_abs", "s_trunc",
-        "s_trunc-zero", "s_trunc-sweep"])
+        "s_trunc-zero", "s_trunc-sweep", "h1-window"])
 def test_invalid_value_exits_2(tmp_path, capsys, command, old, new, named):
     text = SMALL.replace(old, new)
     assert text != SMALL

@@ -196,6 +196,15 @@ def test_h1_certificate_window_validation():
         h1_certificate(rec, SPEC, t_audit=1.00037)  # off the step grid
 
 
+def test_h1_certificate_unit_window_needs_whole_steps():
+    # 1 / 0.003 is not whole: the window [t - 1, t] has no grid start, so
+    # the certificate refuses rather than auditing [t - 0.999, t]
+    p = sample_two_sided_path(12, 3.0, 3e-3)
+    rec = phi_record(CocycleQuery(1.5, 0.0, p, gaussian(), 0.5), SPEC, 3e-3)
+    with pytest.raises(ValueError, match="unit audit window"):
+        h1_certificate(rec, SPEC, t_audit=1.5)
+
+
 # -- periodic forcing --------------------------------------------------------
 
 

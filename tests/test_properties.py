@@ -1,5 +1,6 @@
-"""Property tests of exact invariants: block deviation, shift group law, field IO,
-the whole-step rule, the L2 kernels, the weight cocycle and the sign of margins."""
+"""Property tests of exact invariants: block deviation, the block periodicity and cocycle
+checks, shift group law, field IO, the whole-step rule, the L2 kernels, the weight cocycle
+and the sign of margins."""
 
 import os
 import tempfile
@@ -7,22 +8,31 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stochrd import (
+    AbsorbingSpec,
+    CocycleQuery,
     Field,
     Grid,
+    TemperedFamilySpec,
     WienerPath,
+    attractor_periodicity_check,
     canonical_cubic,
+    cocycle_law_defect,
     deviation_check,
     energy_certificate,
     h1_certificate,
+    hausdorff_dist,
     hausdorff_semidist,
     l2_distance,
     path_smallness,
     periodic_bump_forcing,
+    periodic_cocycle_check,
+    phi,
+    pullback_ensemble,
     read_field_block,
     sample_two_sided_path,
     shift_path,
@@ -70,6 +80,51 @@ def test_deviation_block_matches_two_single_runs(dim, alpha, steps, tau, window,
     assert rep.eps_alpha == path_smallness(PATH, alpha, 0.0, t)
     if alpha == 0.0:
         assert rep.sup_dev_sq == 0.0
+
+
+# -- the two-anchor periodicity block and the two-column cocycle blocks --------------
+
+
+@settings(max_examples=12, deadline=None)
+@given(dim=st.sampled_from([1, 2]), alpha=st.floats(0.0, 1.0),
+       tau=st.sampled_from([0.0, 0.3, -1.25]), seed=st.integers(0, 1000),
+       horizons=st.lists(st.integers(1, 50), min_size=1, max_size=3, unique=True),
+       m_samples=st.integers(1, 3), family=st.sampled_from(["constant", "absorbing-ball"]),
+       workers=st.just(1))
+@example(dim=2, alpha=0.5, tau=0.3, seed=4, horizons=[20, 35], m_samples=3,
+         family="absorbing-ball", workers=2)
+def test_periodicity_block_matches_two_ensembles(dim, alpha, tau, seed, horizons, m_samples,
+                                                 family, workers):
+    grid = Grid(dim=dim, half_width=4.0, n=17)
+    kw = dict(path=PATH, alpha=alpha, spec=SPEC, grid=grid,
+              horizons=[k * DT for k in sorted(horizons)], m_samples=m_samples,
+              family=TemperedFamilySpec(family, radius=2.0, factor=1.5, modes=4),
+              absorbing=AbsorbingSpec(c_abs=1.4, s_trunc=1.0, step=DT), dt=DT, eps_att=1e-2)
+    dist, a, b = attractor_periodicity_check(tau=tau, seed=seed, workers=workers, **kw)
+    ref_a = pullback_ensemble(tau=tau, seed=2 * seed + 1, **kw)
+    ref_b = pullback_ensemble(tau=tau + SPEC.g.period, seed=2 * seed + 2, **kw)
+    for got, ref in ((a, ref_a), (b, ref_b)):
+        assert got.to_json_dict() == ref.to_json_dict()  # distances, converged, seed, ...
+        assert len(got.endpoints) == len(ref.endpoints)
+        for f, g in zip(got.endpoints, ref.endpoints):
+            assert np.array_equal(f.values, g.values)
+    assert dist == hausdorff_dist(ref_a, ref_b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.sampled_from([1, 2]), t=st.integers(0, 40), s=st.integers(0, 40),
+       r=st.floats(-3.0, 3.0), shape_seed=st.integers(0, 2**32 - 1))
+def test_cocycle_blocks_match_phi_compositions(dim, t, s, r, shape_seed):
+    grid = Grid(dim=dim, half_width=4.0, n=17)
+    u0 = Field(grid, np.random.default_rng(shape_seed).uniform(-1.0, 1.0, grid.shape))
+    t, s = t * DT, s * DT
+    one = phi(CocycleQuery(t + s, r, PATH, u0), SPEC, DT)
+    inner = phi(CocycleQuery(s, r, PATH, u0), SPEC, DT)
+    outer = phi(CocycleQuery(t, s + r, shift_path(PATH, s), inner), SPEC, DT)
+    assert cocycle_law_defect(SPEC, t, s, r, PATH, u0, DT) == l2_distance(one, outer)
+    a = phi(CocycleQuery(t, r, PATH, u0), SPEC, DT)
+    b = phi(CocycleQuery(t, r + SPEC.g.period, PATH, u0), SPEC, DT)
+    assert periodic_cocycle_check(SPEC, t, r, PATH, u0, DT) == l2_distance(a, b)
 
 
 grid_steps = st.integers(-200, 200)  # the window of PATH is [-200, 200] steps

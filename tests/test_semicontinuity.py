@@ -49,6 +49,15 @@ def test_path_smallness_linear_path():
     assert path_smallness(p, 0.5, 0.0, 0.5) < path_smallness(p, 0.5, 0.0, 1.0)
 
 
+def test_path_smallness_rejects_window_without_grid_time():
+    p = linear_path()
+    with pytest.raises(ValueError, match=r"\[0\.0001, 0\.0009\]"):
+        path_smallness(p, 0.5, 0.0001, 0.0009)  # strictly between two grid times
+    # a window within the grid slack of one grid time holds that time
+    assert path_smallness(p, 0.5, 1e-3 + 1e-13, 1e-3 + 1e-13) == path_smallness(
+        p, 0.5, 1e-3, 1e-3)
+
+
 def test_path_smallness_grows_with_alpha():
     p = sample_two_sided_path(9, 4.0, 1e-3)
     vals = [path_smallness(p, a, 0.0, 4.0) for a in (0.1, 0.5, 1.0)]
