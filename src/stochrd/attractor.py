@@ -271,7 +271,8 @@ def _endpoints(columns, spec: ModelSpec, grid: Grid, dt: float, workers: int) ->
             try:
                 parts.append(fut.result()[1])
             except DivergenceError as exc:
-                raise DivergenceError(exc.t, column=int(chunk[exc.column])) from None
+                raise DivergenceError(exc.t, column=int(chunk[exc.column]),
+                                      last_v_sq=exc.last_v_sq, last_t=exc.last_t) from None
     return np.concatenate(parts)
 
 

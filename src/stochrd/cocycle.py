@@ -32,7 +32,7 @@ O(dt) tolerance is meaningful uniformly in the horizon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -103,9 +103,10 @@ def cocycle_law_defect(spec: ModelSpec, t: float, s: float, r: float,
     the path shifted by s; the one-shot run and the first leg form one
     block.  Zero for the exact operator; the value reflects roundoff.
     """
+    second = CocycleQuery(t, s + r, shift_path(path, s), u_init)  # t < 0 raises before any step
     cols = [_Column(u_init.values, 0.0, span, path, spec.alpha, r) for span in (t + s, s)]
     one, inner = _integrate(cols, spec, u_init.grid, dt)[1]
-    outer = phi(CocycleQuery(t, s + r, shift_path(path, s), Field(u_init.grid, inner)), spec, dt)
+    outer = phi(replace(second, u_init=Field(u_init.grid, inner)), spec, dt)
     return l2_distance(Field(u_init.grid, one), outer)
 
 

@@ -29,22 +29,25 @@ their remaining step count is reached, so a column costs nothing
 before it starts.  Per step, the implicit solve is one call for the
 whole active block: the LAPACK tridiagonal LDL^T factorization
 (dpttrf, prefactored and cached) and dpttrs on the (n - 2, K) Fortran
-view in 1-d, one sparse LU solve with a K-column right-hand side in
-2-d.  No column's arithmetic depends on another column, so column j of
-a block equals a K = 1 run bit for bit.  Weights and forcing amplitudes
-are tabulated per column in windows of _WINDOW steps counted back from
-the common end, so the tables stay small at any horizon and a column
-sees the same windows alone as in a block.  The direct route keeps the
-banded Cholesky solve it was validated with: the oracle's arithmetic
-does not move with the production solver.
+view in 1-d, one type-I sine transform pair over the field axes of the
+(K, n - 2, n - 2) block in 2-d, where the operator is diagonal.  No
+column's arithmetic depends on another column, so column j of a block
+equals a K = 1 run bit for bit.  Weights and forcing amplitudes are
+tabulated per column in windows of _WINDOW steps counted back from the
+common end, so the tables stay small at any horizon and a column sees
+the same windows alone as in a block.  The direct route keeps the
+solves it was validated with, banded Cholesky in 1-d and sparse LU in
+2-d: the oracle's arithmetic does not move with the production solver,
+and the two routes share no solver.  Each scheme names its factor per
+dimension in its `factors` pair.
 
 Single runs return a TrajectoryRecord carrying the per-step scalar
 ledger (|v|^2, |grad v|^2, z^2 |u|_p^p, z^2, |g|^2) consumed by the
 energy and gradient certificates; block runs keep only the per-step
 finite check, and a caller that needs more of the trajectory reads it
 through the observe hook of _integrate.  A non-finite state aborts
-integration with DivergenceError naming the first bad time and the
-column.
+integration with DivergenceError naming the first bad time, the column
+and that column's last finite |v|^2 with its time.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ class _TridiagonalFactor:
 
 
 class _BandedFactor:
-    """Dim 1, banded Cholesky (dpbtrf); the direct route's solver."""
+    """Dim 1, banded Cholesky (dpbtrf); one dpbtrs call per block (direct route)."""
 
     def __init__(self, grid: Grid, lam: float, dt: float):
         m = grid.n - 2
@@ -111,7 +114,7 @@ class _BandedFactor:
 
 
 class _SparseFactor:
-    """Dim 2, sparse LU; one solve with a K-column right-hand side."""
+    """Dim 2, sparse LU; one solve with a K-column right-hand side (direct route)."""
 
     def __init__(self, grid: Grid, lam: float, dt: float):
         import scipy.sparse as sp
@@ -129,6 +132,32 @@ class _SparseFactor:
         return self._lu.solve(rhs.reshape(k, -1).T).T.reshape(rhs.shape)
 
 
+class _SineFactor:
+    """Dim 2, type-I discrete sine transform; one dstn/idstn pair per block.
+
+    On the Dirichlet box the operator is diagonal in the sine basis, with
+    eigenvalue 1 + dt*lam + mu_i + mu_j, mu_k = 2 (dt/h^2) (1 - cos(pi k / (n - 1))),
+    so a solve is the classical fast Poisson solve.  pocketfft's result
+    does not depend on the BLAS thread count, which a dense sine matrix's
+    would.
+    """
+
+    def __init__(self, grid: Grid, lam: float, dt: float):
+        # imported here, so runs that never build a 2-d factor do not pay for it
+        from scipy.fft import dstn, idstn
+
+        m = grid.n - 2
+        r = dt / grid.h**2
+        mu = 2.0 * r * (1.0 - np.cos(np.pi * np.arange(1, m + 1) / (m + 1)))
+        self._denom = 1.0 + dt * lam + mu[:, None] + mu[None, :]
+        self._dstn, self._idstn = dstn, idstn
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        axes = (-2, -1)
+        coef = self._dstn(rhs, type=1, axes=axes) / self._denom
+        return self._idstn(coef, type=1, axes=axes, overwrite_x=True)
+
+
 class _ScalarFactor:
     """Diffusion disabled: the implicit solve is a scalar division."""
 
@@ -140,12 +169,10 @@ class _ScalarFactor:
 
 
 @lru_cache(maxsize=64)
-def _implicit_factor(grid: Grid, lam: float, dt: float, diffusion: bool, factor_1d: type):
+def _implicit_factor(grid: Grid, lam: float, dt: float, diffusion: bool, factors: tuple):
     if not diffusion:
         return _ScalarFactor(lam, dt)
-    if grid.dim == 1:
-        return factor_1d(grid, lam, dt)
-    return _SparseFactor(grid, lam, dt)
+    return factors[grid.dim - 1](grid, lam, dt)
 
 
 # -- trajectory record -------------------------------------------------------
@@ -237,14 +264,15 @@ def _tables(cols, starts, spec: ModelSpec, dt: float, lo: int, hi: int, active: 
 class _Scheme:
     """Shared data of one IMEX step: reaction, forcing profile, implicit solve."""
 
-    factor_1d: type = _TridiagonalFactor
+    #: implicit factor per dimension, 1-d then 2-d
+    factors: tuple = (_TridiagonalFactor, _SineFactor)
 
     def __init__(self, spec: ModelSpec, grid: Grid, dt: float, diffusion: bool, alphas):
         self.dt = dt
         self.f = spec.f
         self.x = grid.coords()
         self.profile = None if spec.g.is_zero() else spec.g.profile.on_grid(grid)
-        self.factor = _implicit_factor(grid, spec.lam, dt, diffusion, self.factor_1d)
+        self.factor = _implicit_factor(grid, spec.lam, dt, diffusion, self.factors)
         self.alphas = alphas
         # broadcast one scalar per column over the field axes
         self.col = (slice(None),) + (None,) * grid.dim
@@ -277,10 +305,10 @@ class _Transform(_Scheme):
 
 
 class _Direct(_Scheme):
-    """State u; Euler-Heun noise increment, banded Cholesky solve."""
+    """State u; Euler-Heun noise increment, banded Cholesky or sparse LU solve."""
 
     name = "direct"
-    factor_1d = _BandedFactor
+    factors = (_BandedFactor, _SparseFactor)
 
     def start(self, u0, tab, i, j):
         return u0
@@ -315,9 +343,10 @@ def _integrate(columns, spec: ModelSpec, grid: Grid, dt: float, diffusion: bool 
     sch = scheme(spec, grid, dt, diffusion, np.array([c.alpha for c in cols]))
     state = np.zeros((len(cols),) + grid.shape)
     active = 0
+    prev_sq = np.empty(0)  # the last step's |v|^2, all finite
 
     def visit(g, tab, i):
-        nonlocal active
+        nonlocal active, prev_sq
         while active < len(cols) and starts[active] == g:
             state[active] = sch.start(cols[active].u_init, tab, i, active)
             active += 1
@@ -325,9 +354,14 @@ def _integrate(columns, spec: ModelSpec, grid: Grid, dt: float, diffusion: bool 
         v_sq = _l2_sq_rows(v, grid)
         if not np.all(np.isfinite(v_sq)):
             j = int(np.argmin(np.isfinite(v_sq)))
-            raise DivergenceError(cols[j].t_start + dt * (g - starts[j]), column=order[j])
+            t0, k = cols[j].t_start, g - starts[j]
+            # a column that starts at g has no earlier state
+            last_sq, last_t = ((float(prev_sq[j]), t0 + dt * (k - 1)) if j < prev_sq.size
+                               else (None, None))
+            raise DivergenceError(t0 + dt * k, column=order[j], last_v_sq=last_sq, last_t=last_t)
         if observe is not None:
             observe(g, v, u, v_sq)
+        prev_sq = v_sq
         return v, u
 
     # window edges counted back from the common end

@@ -295,6 +295,10 @@ def test_pool_divergence_names_block_column():
         _endpoints(cols, spec, grid, 1e-2, workers=2)
     assert serial.value.column == pooled.value.column == 3
     assert serial.value.t == pooled.value.t
+    # the last finite norm survives the pickled trip out of the pool
+    assert serial.value.last_v_sq is not None and np.isfinite(serial.value.last_v_sq)
+    assert serial.value.last_v_sq == pooled.value.last_v_sq
+    assert serial.value.last_t == pooled.value.last_t < serial.value.t
 
 
 def test_endpoints_pool_clamped_to_cpu_count(monkeypatch):

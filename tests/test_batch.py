@@ -1,6 +1,7 @@
 """Block integration: every column of a batch is its own single run, bit for bit."""
 
 import dataclasses
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -79,11 +80,35 @@ def test_batch_divergence_names_column(block, data):
     bad = data.draw(st.integers(0, len(draws) - 1))
     cols = _columns(grid, draws, scale=0.01)
     cols[bad] = dataclasses.replace(cols[bad], u_init=1e3 * cols[bad].u_init / 0.01)
+    seen = []  # |v|^2 of the bad column at every step its K = 1 run finished
     with mock.patch.object(solver, "_WINDOW", block["window"]):
         with pytest.raises(DivergenceError) as single:
             _single(grid, cols[bad], spec)
+        with pytest.raises(DivergenceError):
+            _integrate([cols[bad]], spec, grid, DT,
+                       observe=lambda k, v, u, v_sq: seen.append((k, float(v_sq[0]))))
         with pytest.raises(DivergenceError) as batch:
             _integrate(cols, spec, grid, DT)
     assert batch.value.column == bad
     assert batch.value.t == single.value.t
     assert f"column {bad}" in str(batch.value)
+    # the last finite norm and its time, the same alone as in the block
+    k, v_sq = seen[-1]
+    assert batch.value.last_v_sq == single.value.last_v_sq == v_sq
+    assert batch.value.last_t == single.value.last_t == cols[bad].t_start + DT * k
+    assert batch.value.last_t < batch.value.t
+    assert f"last finite |v|^2={v_sq:.6g}" in str(batch.value)
+    again = pickle.loads(pickle.dumps(batch.value))
+    assert (again.t, again.column, again.last_v_sq, again.last_t, str(again)) == (
+        batch.value.t, bad, v_sq, batch.value.last_t, str(batch.value))
+
+
+def test_divergence_at_the_first_state_has_no_last_norm():
+    grid = Grid(dim=1, half_width=4.0, n=17)
+    col = _columns(grid, [(10, 0.3, 1.0, 0)])[0]
+    col = dataclasses.replace(col, u_init=np.full(grid.shape, np.inf))
+    with pytest.raises(DivergenceError) as err:
+        _integrate([col], SPEC, grid, DT)
+    assert err.value.t == col.t_start
+    assert err.value.last_v_sq is None and err.value.last_t is None
+    assert "last finite" not in str(err.value)

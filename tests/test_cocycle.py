@@ -1,6 +1,7 @@
 """Solution operator laws and the trajectory-ledger certificates."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from stochrd import (
     phi_reference,
     sample_two_sided_path,
 )
+from stochrd import cocycle
 
 G = Grid(dim=1, half_width=8.0, n=257)
 SPEC = canonical_cubic(alpha=0.5, forcing=periodic_bump_forcing(0.05))
@@ -61,6 +63,16 @@ def test_composition_law_shifted_anchor():
     p = sample_two_sided_path(4, 8.0, 1e-3)
     defect = cocycle_law_defect(SPEC, 0.5, 0.75, -3.0, p, u0, 1e-3)
     assert defect < 1e-10
+
+
+def test_composition_law_rejects_negative_t_before_integrating():
+    def no_run(*args, **kwargs):
+        raise AssertionError("integrated before rejecting t < 0")
+
+    p = sample_two_sided_path(4, 8.0, 1e-3)
+    with mock.patch.object(cocycle, "_integrate", no_run):
+        with pytest.raises(ValueError, match="nonnegative"):
+            cocycle_law_defect(SPEC, -0.5, 2.0, 0.0, p, gaussian(), 1e-3)
 
 
 def test_reduced_operator_matches_reference():

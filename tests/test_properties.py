@@ -1,6 +1,6 @@
 """Property tests of exact invariants: block deviation, the block periodicity and cocycle
-checks, shift group law, field IO, the whole-step rule, the L2 kernels, the weight cocycle
-and the sign of margins."""
+checks, the 2-d sine solve, shift group law, field IO, the whole-step rule, the L2
+kernels, the weight cocycle and the sign of margins."""
 
 import os
 import tempfile
@@ -45,7 +45,7 @@ from stochrd import solver
 from stochrd.attractor import _dedup
 from stochrd.fields import _l2_distances, _l2_sq_rows
 from stochrd.model import _memory_integral
-from stochrd.solver import _Column, _integrate
+from stochrd.solver import _Column, _integrate, _SineFactor, _SparseFactor
 from stochrd.wiener import _whole_steps
 
 DT = 1e-2
@@ -128,6 +128,21 @@ def test_cocycle_blocks_match_phi_compositions(dim, t, s, r, shape_seed):
 
 
 grid_steps = st.integers(-200, 200)  # the window of PATH is [-200, 200] steps
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([17, 65]), k=st.integers(1, 8), lam=st.floats(0.0, 10.0),
+       dt=st.floats(1e-4, 0.1), seed=st.integers(0, 2**32 - 1))
+def test_sine_solve_matches_sparse_lu(n, k, lam, dt, seed):
+    grid = Grid(dim=2, half_width=4.0, n=n)
+    # the interior view of a (K, n, n) state block, as the core passes it
+    rhs = np.random.default_rng(seed).uniform(-1.0, 1.0, (k,) + grid.shape)[:, 1:-1, 1:-1]
+    sine = _SineFactor(grid, lam, dt)
+    got = sine.solve(rhs)
+    want = _SparseFactor(grid, lam, dt).solve(rhs)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    for j in range(k):
+        assert np.array_equal(got[j], sine.solve(rhs[j:j + 1])[0]), f"column {j}"
 
 
 @settings(max_examples=100, deadline=None)

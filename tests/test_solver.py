@@ -1,6 +1,10 @@
 """Time integration: implicit-explicit stepping, both solution operators."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from stochrd import (
     solve_u_direct,
     solve_u_transform,
 )
+from stochrd.solver import _Column, _Direct, _integrate
 
 G = Grid(dim=1, half_width=8.0, n=257)
 
@@ -87,6 +92,73 @@ def test_eigenmode_decay_2d():
     rate = spec.lam + 2.0 * (discrete_rate(g2, 0.0))
     expected = u0.values / (1.0 + dt * rate) ** n
     assert rec.u_final.values == pytest.approx(expected, rel=1e-9)
+
+
+def test_sine_mode_decay_2d_closed_form():
+    # mode (3, 2) is an eigenvector of the 2-d sine solve: each step divides
+    # it by 1 + dt*(lam + mu_3 + mu_2), mu_k = (2/h^2)(1 - cos(pi k / (n - 1)))
+    g2 = Grid(dim=2, half_width=4.0, n=33)
+    spec = linear_spec()
+    dt, n = 1e-3, 50
+    L = g2.half_width
+    u0 = Field.from_function(g2, lambda x, y: np.sin(3 * np.pi * (x + L) / (2 * L))
+                             * np.sin(2 * np.pi * (y + L) / (2 * L)))
+    rec = solve_u_transform(u0, 0.0, n * dt, zero_path(), spec, dt)
+    mu = (2.0 / g2.h**2) * (1.0 - np.cos(np.pi * np.array([3, 2]) / (g2.n - 1)))
+    expected = u0.values / (1.0 + dt * (spec.lam + mu.sum())) ** n
+    err = np.max(np.abs(rec.u_final.values - expected)) / np.max(np.abs(expected))
+    assert err < 1e-12
+
+
+def test_direct_and_transform_converge_together_2d():
+    # the 2-d routes share no solver (sine transform against sparse LU), so
+    # their agreement is a check at scheme order: the panel's worst gap
+    # falls with every halving of dt.  Each (route, dt) runs as one block.
+    g2 = Grid(dim=2, half_width=4.0, n=17)
+    u0 = np.exp(-np.sum(np.square(g2.coords()), axis=0))
+    spec = canonical_cubic(alpha=0.5, forcing=periodic_bump_forcing(0.05))
+    dts = (4e-3, 2e-3, 1e-3, 5e-4)
+    paths = [sample_two_sided_path(seed, 1.0, dts[-1]) for seed in range(1, 6)]
+    cols = [_Column(u0, 0.0, 0.5, p, alpha) for p in paths for alpha in (0.1, 0.5, 1.0)]
+    gaps = np.zeros((len(cols), len(dts)))
+    for j, dt in enumerate(dts):
+        a = _integrate(cols, spec, g2, dt)[1]
+        b = _integrate(cols, spec, g2, dt, scheme=_Direct)[1]
+        gaps[:, j] = [l2_distance(Field(g2, x), Field(g2, y)) for x, y in zip(a, b)]
+    worst = gaps.max(axis=0)
+    assert np.all(np.diff(worst) < 0.0), worst
+    assert worst[-1] < 1e-3
+
+
+def test_2d_transform_block_ignores_blas_threads(tmp_path):
+    # a dense sine matrix would route the solve through BLAS, whose bits
+    # change with its thread count; the block must not
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from stochrd import (Grid, canonical_cubic, periodic_bump_forcing,
+                             sample_two_sided_path)
+        from stochrd.solver import _Column, _integrate
+
+        grid = Grid(dim=2, half_width=8.0, n=129)
+        spec = canonical_cubic(alpha=0.5, forcing=periodic_bump_forcing(0.05))
+        path = sample_two_sided_path(3, 1.0, 5e-3)
+        rng = np.random.default_rng(0)
+        cols = [_Column(rng.uniform(-1.0, 1.0, grid.shape), 0.0, 0.05, path, a, 0.25)
+                for a in (0.0, 0.5, 1.0)]
+        np.save(sys.argv[1], _integrate(cols, spec, grid, 5e-3)[1])
+    """)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    ends = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"ends_{threads}.npy"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True,
+                       timeout=120)
+        ends.append(np.load(out))
+    assert ends[0].shape == (3, 129, 129) and np.all(np.isfinite(ends[0]))
+    assert ends[0].tobytes() == ends[1].tobytes()
 
 
 def test_pure_noise_transform_is_exact():
