@@ -44,6 +44,7 @@ from .errors import CalibrationError, DivergenceError
 from .fields import (Field, Grid, _l2_distances, norms, read_field_block, tail_mass,
                      write_field_block)
 from .model import ModelSpec
+from .report import _write_csv, _write_json
 from .solver import _Column, _integrate
 from .wiener import WienerPath, quad_exp, sample_two_sided_path, shift_path
 
@@ -158,25 +159,27 @@ def sample_initial(family: TemperedFamilySpec, grid: Grid, radius: float,
 # -- set machinery -------------------------------------------------------------
 
 
-def _distances(fa: list[Field], fb: list[Field]) -> np.ndarray:
-    """Grid L2 distance matrix of two lists of fields on the grid of fa[0]."""
+def _distances(a, b) -> np.ndarray:
+    """Grid L2 distance matrix of two nonempty sets (approximations or field lists)."""
+    fa, fb = (x.endpoints if isinstance(x, AttractorApprox) else list(x) for x in (a, b))
+    if not fa or not fb:
+        raise ValueError("hausdorff_semidist needs nonempty sets")
+    if any(f.grid != fa[0].grid for f in fa + fb):
+        raise ValueError("all fields must share one grid")
     return _l2_distances(np.stack([f.values for f in fa]), np.stack([f.values for f in fb]),
                          fa[0].grid)
 
 
 def hausdorff_semidist(a, b) -> float:
     """One-sided Hausdorff distance max over a of min over b in grid L2."""
-    fa, fb = (x.endpoints if isinstance(x, AttractorApprox) else list(x) for x in (a, b))
-    if not fa or not fb:
-        raise ValueError("hausdorff_semidist needs nonempty sets")
-    if any(f.grid != fa[0].grid for f in fa + fb):
-        raise ValueError("all fields must share one grid")
-    return float(_distances(fa, fb).min(axis=1).max())
+    return float(_distances(a, b).min(axis=1).max())
 
 
 def hausdorff_dist(a, b) -> float:
-    """Symmetric Hausdorff distance."""
-    return max(hausdorff_semidist(a, b), hausdorff_semidist(b, a))
+    """Symmetric Hausdorff distance; the b-to-a distances are the transpose of the
+    a-to-b matrix bit for bit, since a - b and b - a have equal squares."""
+    d = _distances(a, b)
+    return max(float(d.min(axis=1).max()), float(d.min(axis=0).max()))
 
 
 def _dedup(fields: list[Field], tol: float) -> list[Field]:
@@ -227,15 +230,11 @@ class AttractorApprox:
         os.makedirs(out_dir, exist_ok=True)
         meta = self.to_json_dict()
         meta["endpoint_files"] = [f"endpoint_{i:03d}.bin" for i in range(len(self.endpoints))]
-        with open(os.path.join(out_dir, "attractor.json"), "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(out_dir, "attractor.json"), meta)
         for name, f in zip(meta["endpoint_files"], self.endpoints):
             write_field_block(f, os.path.join(out_dir, name))
-        with open(os.path.join(out_dir, "distances.csv"), "w") as fh:
-            fh.write("horizon,set_distance\n")
-            for t, d in zip(self.horizons[1:], self.distances):
-                fh.write(f"{float(t)!r},{float(d)!r}\n")
+        _write_csv(os.path.join(out_dir, "distances.csv"), ("horizon", "set_distance"),
+                   ((float(t), float(d)) for t, d in zip(self.horizons[1:], self.distances)))
 
     @classmethod
     def read(cls, out_dir: str) -> "AttractorApprox":
@@ -288,7 +287,6 @@ def _pullback_sets(
     absorbing: AbsorbingSpec,
     dt: float,
     eps_att: float,
-    dedup_tol: float,
     workers: int,
 ) -> list[AttractorApprox]:
     """Pullback approximations, one per (anchor, intensity) in that order.
@@ -324,7 +322,7 @@ def _pullback_sets(
         sets: list[list[Field]] = []
         distances: list[float] = []
         for _ in horizons:
-            current = _dedup([Field(grid, next(ends)) for _ in range(m_samples)], dedup_tol)
+            current = _dedup([Field(grid, next(ends)) for _ in range(m_samples)], _DEDUP_TOL)
             if sets:
                 distances.append(hausdorff_dist(current, sets[-1]))
             sets.append(current)
@@ -349,7 +347,6 @@ def pullback_ensemble(
     absorbing: AbsorbingSpec,
     dt: float = 1e-3,
     eps_att: float = 1e-3,
-    dedup_tol: float = _DEDUP_TOL,
     seed: int = 0,
     workers: int = 1,
 ) -> AttractorApprox:
@@ -366,7 +363,7 @@ def pullback_ensemble(
     the block over that many processes with identical results.
     """
     return _pullback_sets([(tau, seed)], path, [alpha], spec, grid, horizons, m_samples,
-                          family, absorbing, dt, eps_att, dedup_tol, workers)[0]
+                          family, absorbing, dt, eps_att, workers)[0]
 
 
 def attractor_periodicity_check(
@@ -394,7 +391,7 @@ def attractor_periodicity_check(
         raise ValueError("attractor_periodicity_check needs forcing with a period")
     a, b = _pullback_sets([(tau, seed * 2 + 1), (tau + spec.g.period, seed * 2 + 2)], path,
                           [alpha], spec, grid, horizons, m_samples, family, absorbing, dt,
-                          eps_att, _DEDUP_TOL, workers)
+                          eps_att, workers)
     return hausdorff_dist(a, b), a, b
 
 

@@ -23,7 +23,7 @@ import configparser
 import dataclasses
 import functools
 import hashlib
-import json
+import math
 import os
 import sys
 
@@ -51,27 +51,11 @@ from .model import (
     periodic_bump_forcing,
     validate_dissipativity,
 )
+from .report import _write_csv, _write_json
 from .semicontinuity import sweep_alpha
 from .wiener import _whole_steps, sample_two_sided_path
 
 COMMANDS = ("check-model", "simulate", "certify", "attractor", "periodicity", "sweep-alpha")
-
-_KNOWN_KEYS = {
-    "model": {
-        "lam", "alpha", "nonlinearity", "forcing", "forcing_amplitude",
-        "forcing_period", "forcing_support", "delta",
-    },
-    "grid": {"dim", "half_width", "n"},
-    "time": {"dt", "t_final", "tau"},
-    "noise": {"seed", "s_max"},
-    "experiment": {
-        "horizons", "m_samples", "alphas", "seeds", "eps_att", "eps_semi",
-        "c_abs", "s_trunc", "quad_step", "family", "ball_factor",
-        "init_radius", "modes", "tail_radius",
-    },
-    "output": {"write_fields"},
-}
-
 
 class ConfigError(ValueError):
     """Unknown or malformed configuration entries."""
@@ -216,10 +200,37 @@ def _require_pullback(config: ExperimentConfig) -> None:
         raise ConfigError(f"experiment.m_samples = {config.m_samples!r} must be >= 1")
 
 
-_LIST_KEYS = {"horizons", "alphas", "seeds"}
-_INT_KEYS = {"dim", "n", "seed", "m_samples", "modes"}
-_STR_KEYS = {"nonlinearity", "forcing", "family"}
-_BOOL_KEYS = {"write_fields"}
+def _number(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
+def _seed(text: str) -> int:
+    if (value := int(text)) < 0:
+        raise ValueError(f"seed {text!r} is negative")
+    return value
+
+
+def _list(item):
+    return lambda text: tuple(item(p) for p in text.split(",") if p.strip())
+
+
+#: section -> key -> parser of the INI text; every other entry is unknown
+_SCHEMA = {
+    "model": {"lam": _number, "alpha": _number, "nonlinearity": str.strip,
+              "forcing": str.strip, "forcing_amplitude": _number, "forcing_period": _number,
+              "forcing_support": _number, "delta": _number},
+    "grid": {"dim": int, "half_width": _number, "n": int},
+    "time": {"dt": _number, "t_final": _number, "tau": _number},
+    "noise": {"seed": _seed, "s_max": _number},
+    "experiment": {"horizons": _list(_number), "m_samples": int, "alphas": _list(_number),
+                   "seeds": _list(_seed), "eps_att": _number, "eps_semi": _number,
+                   "c_abs": _number, "s_trunc": _number, "quad_step": _number,
+                   "family": str.strip, "ball_factor": _number, "init_radius": _number,
+                   "modes": int, "tail_radius": _number},
+    "output": {"write_fields": lambda text: text.strip().lower() in ("1", "true", "yes", "on")},
+}
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -229,14 +240,9 @@ def load_config(path: str) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     parser.read_string(raw.decode("utf-8"))
 
-    offenders = []
-    for sec in parser.sections():
-        if sec not in _KNOWN_KEYS:
-            offenders.append(f"[{sec}]")
-            continue
-        for key in parser[sec]:
-            if key not in _KNOWN_KEYS[sec]:
-                offenders.append(f"{sec}.{key}")
+    offenders = [f"[{sec}]" for sec in parser.sections() if sec not in _SCHEMA]
+    offenders += [f"{sec}.{key}" for sec in parser.sections() if sec in _SCHEMA
+                  for key in parser[sec] if key not in _SCHEMA[sec]]
     if offenders:
         raise ConfigError("unknown configuration entries: " + ", ".join(sorted(offenders)))
 
@@ -244,20 +250,7 @@ def load_config(path: str) -> ExperimentConfig:
     for sec in parser.sections():
         for key, text in parser[sec].items():
             try:
-                if key in _LIST_KEYS:
-                    parts = [p.strip() for p in text.split(",") if p.strip()]
-                    if key == "seeds":
-                        values[key] = tuple(int(p) for p in parts)
-                    else:
-                        values[key] = tuple(float(p) for p in parts)
-                elif key in _INT_KEYS:
-                    values[key] = int(text)
-                elif key in _STR_KEYS:
-                    values[key] = text.strip()
-                elif key in _BOOL_KEYS:
-                    values[key] = text.strip().lower() in ("1", "true", "yes", "on")
-                else:
-                    values[key] = float(text)
+                values[key] = _SCHEMA[sec][key](text)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {sec}.{key}: {text!r}") from exc
     try:
@@ -276,19 +269,7 @@ def _write_manifest(out_dir: str, command: str, config: ExperimentConfig, seed) 
         "seed": seed,
         "version": __version__,
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_trajectory_csv(rec, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("t,v_sq,gradv_sq,z_sq\n")
-        for i, t in enumerate(rec.times):
-            fh.write(
-                f"{float(t)!r},{float(rec.v_sq[i])!r},"
-                f"{float(rec.gradv_sq[i])!r},{float(rec.z_sq[i])!r}\n"
-            )
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 def _initial_state(config: ExperimentConfig, grid: Grid, seed: int) -> Field:
@@ -321,19 +302,22 @@ def _cmd_check_model(config: ExperimentConfig, out_dir: str, seed: int, threads:
     return 0 if (diss.passed and tempered.passed) else 1
 
 
-def _run_record(config: ExperimentConfig, seed: int):
+def _run_record(config: ExperimentConfig, seed: int, out_dir: str):
+    """One trajectory from the seeded initial state; its ledger goes to trajectory.csv."""
     spec = config.build_spec()
     grid = config.build_grid()
     _require_steps("time.t_final", config.t_final, config.dt)
     path = _sample_path(config, seed, config.path_span())
     u0 = _initial_state(config, grid, seed)
     query = CocycleQuery(config.t_final, config.tau, path, u0, config.alpha)
-    return spec, grid, phi_record(query, spec, config.dt)
+    rec = phi_record(query, spec, config.dt)
+    _write_csv(os.path.join(out_dir, "trajectory.csv"), ("t", "v_sq", "gradv_sq", "z_sq"), zip(
+        rec.times.tolist(), rec.v_sq.tolist(), rec.gradv_sq.tolist(), rec.z_sq.tolist()))
+    return spec, grid, rec
 
 
 def _cmd_simulate(config: ExperimentConfig, out_dir: str, seed: int, threads: int) -> int:
-    _, _, rec = _run_record(config, seed)
-    _write_trajectory_csv(rec, os.path.join(out_dir, "trajectory.csv"))
+    _, _, rec = _run_record(config, seed, out_dir)
     if config.write_fields:
         write_field_block(rec.u_final, os.path.join(out_dir, "final_field.bin"))
         field_to_csv(rec.u_final, os.path.join(out_dir, "final_field.csv"))
@@ -345,8 +329,7 @@ def _cmd_simulate(config: ExperimentConfig, out_dir: str, seed: int, threads: in
 def _cmd_certify(config: ExperimentConfig, out_dir: str, seed: int, threads: int) -> int:
     if config.t_final >= 1.0:  # the gradient certificate audits the trailing unit window
         _require_steps("the unit audit window", 1.0, config.dt)
-    spec, _, rec = _run_record(config, seed)
-    _write_trajectory_csv(rec, os.path.join(out_dir, "trajectory.csv"))
+    spec, _, rec = _run_record(config, seed, out_dir)
     energy = energy_certificate(rec, spec)
     energy.write_json(os.path.join(out_dir, "energy_report.json"))
     reports = [energy]
@@ -365,12 +348,12 @@ def _cmd_attractor(config: ExperimentConfig, out_dir: str, seed: int, threads: i
     spec = config.build_spec()
     grid = config.build_grid()
     _require_pullback(config)
+    family, absorbing = config.build_family(), config.build_absorbing()
     path = _sample_path(config, seed, config.path_span())
     approx = pullback_ensemble(
         tau=config.tau, path=path, alpha=config.alpha, spec=spec, grid=grid,
-        horizons=config.horizons, m_samples=config.m_samples,
-        family=config.build_family(), absorbing=config.build_absorbing(),
-        dt=config.dt, eps_att=config.eps_att, seed=seed, workers=threads,
+        horizons=config.horizons, m_samples=config.m_samples, family=family,
+        absorbing=absorbing, dt=config.dt, eps_att=config.eps_att, seed=seed, workers=threads,
     )
     approx.write(os.path.join(out_dir, "attractor"))
     dists = ", ".join(f"{d:.3e}" for d in approx.distances)
@@ -383,11 +366,11 @@ def _cmd_periodicity(config: ExperimentConfig, out_dir: str, seed: int, threads:
     spec = config.build_spec()
     grid = config.build_grid()
     _require_pullback(config)
+    family, absorbing = config.build_family(), config.build_absorbing()
     path = _sample_path(config, seed, config.path_span() + config.forcing_period)
     dist, a, b = attractor_periodicity_check(
-        spec, config.tau, path, config.alpha, grid, config.horizons,
-        config.m_samples, config.build_family(), config.build_absorbing(),
-        dt=config.dt, eps_att=config.eps_att, seed=seed, workers=threads,
+        spec, config.tau, path, config.alpha, grid, config.horizons, config.m_samples,
+        family, absorbing, dt=config.dt, eps_att=config.eps_att, seed=seed, workers=threads,
     )
     tol = 2.0 * config.eps_att
     passed = bool(dist <= tol)
@@ -395,9 +378,7 @@ def _cmd_periodicity(config: ExperimentConfig, out_dir: str, seed: int, threads:
     b.write(os.path.join(out_dir, "anchor_b"))
     payload = {"distance": dist, "tolerance": tol, "pass": passed,
                "tau": config.tau, "period": spec.g.period}
-    with open(os.path.join(out_dir, "periodicity.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "periodicity.json"), payload)
     print(f"periodicity: {'pass' if passed else 'FAIL'} "
           f"(set distance {dist:.3e}, tolerance {tol:g})")
     return 0 if passed else 1
@@ -407,9 +388,14 @@ def _cmd_sweep(config: ExperimentConfig, out_dir: str, seed, threads: int) -> in
     spec = config.build_spec()
     grid = config.build_grid()
     seeds = config.seeds if seed is None else (seed,)
+    if not seeds:
+        raise ConfigError("experiment.seeds must not be empty")
     ladder = list(config.alphas)
-    if not all(0.0 < a <= 1.0 for a in ladder) or sorted(set(ladder), reverse=True) != ladder:
-        raise ConfigError("experiment.alphas must decrease strictly inside (0, 1]")
+    if (not ladder or not all(0.0 < a <= 1.0 for a in ladder)
+            or sorted(set(ladder), reverse=True) != ladder):
+        raise ConfigError("experiment.alphas must be nonempty and decrease strictly inside (0, 1]")
+    if config.tail_radius is not None and config.tail_radius < 0:
+        raise ConfigError(f"experiment.tail_radius = {config.tail_radius!r} is negative")
     _require_pullback(config)
     # the span sweep_alpha samples for each seed
     _require_steps("the sweep path span", max(config.horizons) + config.s_trunc
@@ -474,7 +460,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="experiment INI file")
     parser.add_argument("--out", default="out", help="artifact directory")
     parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=_seed, default=None,
                         help="override the configured noise seed")
     args = parser.parse_args(argv)
 

@@ -23,6 +23,8 @@ from typing import Callable
 
 import numpy as np
 
+from .report import _write_csv
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -255,13 +257,5 @@ def read_field_block(path) -> Field:
 def field_to_csv(field: Field, path) -> None:
     """CSV export: columns x,value (dim 1) or x,y,value (dim 2)."""
     g = field.grid
-    with open(path, "w") as fh:
-        if g.dim == 1:
-            fh.write("x,value\n")
-            for xi, vi in zip(g.axis, field.values):
-                fh.write(f"{float(xi)!r},{float(vi)!r}\n")
-        else:
-            fh.write("x,y,value\n")
-            x, y = g.coords()
-            for xi, yi, vi in zip(x.ravel(), y.ravel(), field.values.ravel()):
-                fh.write(f"{float(xi)!r},{float(yi)!r},{float(vi)!r}\n")
+    _write_csv(path, ("x", "y")[:g.dim] + ("value",),
+               zip(*np.reshape(g.coords(), (g.dim, -1)).tolist(), field.values.ravel().tolist()))

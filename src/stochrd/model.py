@@ -53,7 +53,6 @@ class Profile:
     amplitude: float = 1.0
     width: float = 1.0
     fn: Callable | None = None
-    integrability: str = ""
 
     def __post_init__(self):
         if self.family not in ("zero", "constant", "gaussian", "bump", "custom"):

@@ -36,9 +36,24 @@ class CertificateReport:
         return d
 
     def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, self.to_json_dict())
+
+
+def _write_json(path, obj) -> None:
+    """The JSON artifact format: two-space indent, sorted keys, a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_csv(path, header, rows) -> None:
+    """The CSV artifact format: a header, then one line of repr cells per row.  Rows are
+    tuples as long as the header, of Python numbers (.tolist(), float(), int()): numpy 2
+    would print a numpy scalar as np.float64(...)."""
+    line = ",".join(["%r"] * len(header)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(map(line.__mod__, rows))
 
 
 def _plain(obj):

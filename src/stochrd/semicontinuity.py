@@ -22,7 +22,6 @@ deterministic one; nothing is claimed in the other direction).
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -31,7 +30,6 @@ import numpy as np
 from .attractor import (
     AbsorbingSpec,
     TemperedFamilySpec,
-    _DEDUP_TOL,
     _pullback_sets,
     absorbing_radius,
     deterministic_radius,
@@ -40,7 +38,7 @@ from .attractor import (
 )
 from .fields import Field, Grid, _l2_distances
 from .model import ModelSpec
-from .report import CertificateReport
+from .report import CertificateReport, _write_csv, _write_json
 from .solver import _Column, _integrate
 from .wiener import _GRID_RTOL, WienerPath, sample_two_sided_path
 
@@ -165,19 +163,12 @@ class SweepResult:
         return asdict(self)
 
     def write_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, self.to_json_dict())
 
     def write_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write("alpha,dist,absorbing_radius,max_tail,converged\n")
-            for r in self.rows:
-                fh.write(
-                    f"{float(r.alpha)!r},{float(r.dist)!r},"
-                    f"{float(r.absorbing_radius)!r},{float(r.max_tail)!r},"
-                    f"{int(r.converged)}\n"
-                )
+        _write_csv(path, ("alpha", "dist", "absorbing_radius", "max_tail", "converged"), (
+            (float(r.alpha), float(r.dist), float(r.absorbing_radius), float(r.max_tail),
+             int(r.converged)) for r in self.rows))
 
 
 def _no_uptick(dists: Sequence[float], eps: float) -> bool:
@@ -204,7 +195,6 @@ def sweep_alpha(
     eps_att: float = 1e-3,
     eps_semi: float = 5e-3,
     tail_radius: float | None = None,
-    dedup_tol: float = _DEDUP_TOL,
     workers: int = 1,
 ) -> SweepResult:
     """Upper-semicontinuity sweep at one anchor over a decreasing ladder.
@@ -225,8 +215,12 @@ def sweep_alpha(
         raise ValueError("alphas must decrease strictly")
     if any(a <= 0 for a in alphas):
         raise ValueError("the ladder is for positive intensities; zero is appended")
+    if not alphas or not seeds:
+        raise ValueError("the sweep needs at least one intensity and one seed")
     if tail_radius is None:
         tail_radius = grid.half_width / 2.0
+    if not tail_radius >= 0:
+        raise ValueError("tail_radius must be nonnegative")
 
     s_max = max(horizons) + absorbing.s_trunc + abs(tau)
     dist_acc = {a: 0.0 for a in alphas}
@@ -238,7 +232,7 @@ def sweep_alpha(
         path = sample_two_sided_path(seed, s_max, dt)
         a0, *noisy = _pullback_sets(
             [(tau, seed)], path, [0.0] + alphas, spec, grid, horizons, m_samples, family,
-            absorbing, dt, eps_att, dedup_tol, workers,
+            absorbing, dt, eps_att, workers,
         )
         rad_acc[0.0] = max(rad_acc[0.0], deterministic_radius(tau, spec, absorbing, grid))
         tail_acc[0.0] = max(tail_acc[0.0], a0.max_tail(tail_radius))

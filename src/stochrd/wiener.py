@@ -29,6 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import WindowExceededError
+from .report import _write_csv
 
 #: default quadrature step for the exponential memory integrals
 DEFAULT_QUAD_STEP = 0.01
@@ -145,12 +146,7 @@ class WienerPath:
 
     def to_csv(self, path) -> None:
         """Write grid samples as CSV with columns t, omega."""
-        times = self.times
-        vals = self.samples
-        with open(path, "w") as fh:
-            fh.write("t,omega\n")
-            for ti, wi in zip(times, vals):
-                fh.write(f"{float(ti)!r},{float(wi)!r}\n")
+        _write_csv(path, ("t", "omega"), zip(self.times.tolist(), self.samples.tolist()))
 
     def __repr__(self) -> str:
         return (

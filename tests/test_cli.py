@@ -3,9 +3,13 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from stochrd.cli import ConfigError, ExperimentConfig, execute, load_config, main
+from stochrd import AttractorApprox, Field, Grid, SweepResult, SweepRow, WienerPath
+from stochrd.cli import (ConfigError, ExperimentConfig, _run_record, execute, load_config,
+                         main)
+from stochrd.report import _write_csv, _write_json
 
 SMALL = """\
 [model]
@@ -67,9 +71,21 @@ def test_load_config_rejects_malformed_values(tmp_path):
         load_config(write_config(tmp_path, SMALL.replace("seed = 7", "seed = 7.5")))
     with pytest.raises(ConfigError, match="bad value"):
         load_config(write_config(tmp_path, SMALL.replace("seeds = 1, 2", "seeds = 1, two")))
+    # numbers must be finite and seeds non-negative
+    for old, new, key in [
+        ("t_final = 1.0", "t_final = 1.0\ntau = nan", "time.tau"),
+        ("s_max = 4.0", "s_max = nan", "noise.s_max"),
+        ("t_final = 1.0", "t_final = nan", "time.t_final"),
+        ("eps_att = 0.5", "eps_att = inf", "experiment.eps_att"),
+        ("horizons = 1.0, 2.0", "horizons = 1.0, -inf", "experiment.horizons"),
+        ("seed = 7", "seed = -1", "noise.seed"),
+        ("seeds = 1, 2", "seeds = 1, -2", "experiment.seeds"),
+    ]:
+        with pytest.raises(ConfigError, match=rf"bad value for {key}:"):
+            load_config(write_config(tmp_path, SMALL.replace(old, new)))
 
 
-def test_main_exit_codes_for_bad_usage(tmp_path):
+def test_main_exit_codes_for_bad_usage(tmp_path, capsys):
     assert main(["check-model", "--config", str(tmp_path / "missing.ini")]) == 2
     bad = write_config(tmp_path, SMALL + "\n[extra]\nfoo = 1\n")
     assert main(["check-model", "--config", bad]) == 2
@@ -78,6 +94,13 @@ def test_main_exit_codes_for_bad_usage(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--config", bad])
     assert exc.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:  # the config's seed rule, before any run
+        main(["simulate", "--config", write_config(tmp_path, name="ok.ini"),
+              "--seed", "-1", "--out", str(tmp_path / "neg")])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "neg").exists()
 
 
 # -- command exit codes -----------------------------------------------------------
@@ -179,6 +202,66 @@ def test_sweep_reproducible_and_seed_list(tmp_path):
     assert json.loads((c / "manifest.json").read_text())["seed"] == [5]
 
 
+def test_artifact_writers_exact_bytes(tmp_path):
+    cells = (-0.0, 5e-324, 0.1, 1e300, 7)
+    _write_csv(tmp_path / "a.csv", ("a", "b", "c", "d", "e"), [cells, cells[::-1]])
+    assert (tmp_path / "a.csv").read_bytes() == (
+        b"a,b,c,d,e\n-0.0,5e-324,0.1,1e+300,7\n7,1e+300,0.1,5e-324,-0.0\n")
+    with pytest.raises(TypeError):  # a row shorter than the header
+        _write_csv(tmp_path / "b.csv", ("a", "b"), [(1.0,)])
+    _write_json(tmp_path / "a.json", {"z": list(cells), "a": {"k": None, "b": True}})
+    assert (tmp_path / "a.json").read_bytes() == (
+        b'{\n  "a": {\n    "b": true,\n    "k": null\n  },\n'
+        b'  "z": [\n    -0.0,\n    5e-324,\n    0.1,\n    1e+300,\n    7\n  ]\n}\n')
+
+
+def _read_csv(path):
+    """Header and the cells parsed back with float(text)."""
+    header, *lines = path.read_text().splitlines()
+    return header, np.array([[float(c) for c in line.split(",")] for line in lines])
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("grid", ["", "[grid]\ndim = 2\nn = 17\n\n"], ids=["1d", "2d"])
+def test_csv_artifacts_round_trip_exactly(tmp_path, grid):
+    cfg = load_config(write_config(tmp_path, SMALL.replace("[time]", grid + "[time]")))
+    assert execute("simulate", cfg, str(tmp_path)) == 0
+    (tmp_path / "again").mkdir()
+    _, g, rec = _run_record(cfg, cfg.seed, str(tmp_path / "again"))
+    assert (tmp_path / "again" / "trajectory.csv").read_bytes() == (
+        tmp_path / "trajectory.csv").read_bytes()
+    header, table = _read_csv(tmp_path / "trajectory.csv")
+    assert header == "t,v_sq,gradv_sq,z_sq"
+    assert _same_bits(table, np.column_stack([rec.times, rec.v_sq, rec.gradv_sq, rec.z_sq]))
+    header, table = _read_csv(tmp_path / "final_field.csv")
+    assert header == ("x,value" if g.dim == 1 else "x,y,value")
+    coords = [g.axis] if g.dim == 1 else [c.ravel() for c in g.coords()]
+    assert _same_bits(table, np.column_stack(coords + [rec.u_final.values.ravel()]))
+
+
+def test_csv_artifacts_round_trip_numpy_scalars(tmp_path):
+    # numpy scalars, as the library computes them, must not reach the CSV as np.float64(...)
+    odd = [np.float64(-0.0), np.float64(5e-324), np.float64(0.1), 1e300]
+    approx = AttractorApprox(tau=0.0, alpha=0.5, horizons=[1.0] + odd, m_samples=1,
+                             endpoints=[Field.zeros(Grid(1, 1.0, 3))], distances=odd[::-1],
+                             converged=True, seed=1, eps_att=0.5)
+    approx.write(str(tmp_path / "att"))
+    header, table = _read_csv(tmp_path / "att" / "distances.csv")
+    assert header == "horizon,set_distance"
+    assert _same_bits(table, np.column_stack([odd, odd[::-1]]))
+    rows = [SweepRow(a, d, r, m, c) for a, d, r, m, c in
+            zip(odd, odd[::-1], odd[1:] + odd[:1], odd[2:] + odd[:2], [np.True_, False] * 2)]
+    SweepResult(0.0, [1], odd, rows, 0.5, 0.5, 4.0, True).write_csv(str(tmp_path / "s.csv"))
+    header, table = _read_csv(tmp_path / "s.csv")
+    assert header == "alpha,dist,absorbing_radius,max_tail,converged"
+    assert _same_bits(table, [[r.alpha, r.dist, r.absorbing_radius, r.max_tail, r.converged]
+                              for r in rows])
+
+
 def test_execute_unknown_command(tmp_path):
     assert execute("nope", ExperimentConfig(), str(tmp_path / "x")) == 2
 
@@ -205,11 +288,17 @@ def test_step_grid_mismatch_exits_2(tmp_path, capsys):
     ("certify", "t_final = 1.0\n\n[noise]\nseed = 7\ns_max = 4.0",
      "dt = 0.003\nt_final = 1.5\n\n[noise]\nseed = 7\ns_max = 3.0",
      "unit audit window = 1.0 is not a whole number of steps 0.003 (time.dt)"),
+    ("sweep-alpha", "seeds = 1, 2", "seeds =", "experiment.seeds"),
+    ("sweep-alpha", "alphas = 0.5, 0.1", "alphas =", "experiment.alphas"),
+    ("sweep-alpha", "eps_semi = 0.5", "eps_semi = 0.5\ntail_radius = -1", "experiment.tail_radius"),
 ], ids=["alpha", "family", "n", "lam", "delta", "m_samples", "c_abs", "s_trunc",
-        "s_trunc-zero", "s_trunc-sweep", "h1-window"])
-def test_invalid_value_exits_2(tmp_path, capsys, command, old, new, named):
+        "s_trunc-zero", "s_trunc-sweep", "h1-window", "seeds-empty", "alphas-empty",
+        "tail_radius"])
+def test_invalid_value_exits_2(tmp_path, capsys, monkeypatch, command, old, new, named):
     text = SMALL.replace(old, new)
     assert text != SMALL
+    # rejected at the boundary: no noise path is drawn, so nothing is integrated
+    monkeypatch.setattr(WienerPath, "__init__", lambda *a, **k: pytest.fail("drew a path"))
     assert main([command, "--config", write_config(tmp_path, text),
                  "--out", str(tmp_path / "out")]) == 2
     assert named in capsys.readouterr().err

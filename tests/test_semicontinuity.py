@@ -176,7 +176,7 @@ def test_sweep_alpha_structure_and_contract():
     assert res.tail_radius == G.half_width / 2.0
 
 
-def test_sweep_alpha_validates_ladder():
+def test_sweep_alpha_validates_ladder(monkeypatch):
     ab = AbsorbingSpec(c_abs=2.0, s_trunc=2.0)
     kw = dict(tau=0.0, seeds=[1], horizons=[0.5], m_samples=2, family=FAM, absorbing=ab)
     with pytest.raises(ValueError):
@@ -185,6 +185,15 @@ def test_sweep_alpha_validates_ladder():
         sweep_alpha(SPEC, G, alphas=[0.5, 0.0], **kw)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         sweep_alpha(SPEC, G, alphas=[2.0, 0.5], **kw)
+    # an empty ladder or seed list and a negative tail radius fail before any path is drawn
+    monkeypatch.setattr("stochrd.semicontinuity.sample_two_sided_path",
+                        lambda *a: pytest.fail("sampled a path"))
+    with pytest.raises(ValueError, match="at least one intensity and one seed"):
+        sweep_alpha(SPEC, G, alphas=[], **kw)
+    with pytest.raises(ValueError, match="at least one intensity and one seed"):
+        sweep_alpha(SPEC, G, alphas=[0.5], **{**kw, "seeds": []})
+    with pytest.raises(ValueError, match="tail_radius"):
+        sweep_alpha(SPEC, G, alphas=[0.5], tail_radius=-1.0, **kw)
 
 
 def test_sweep_alpha_artifacts(tmp_path):
