@@ -123,6 +123,10 @@ class TemperedFamilySpec:
             raise ValueError("custom family needs radius_fn")
         if self.modes < 1:
             raise ValueError("modes must be >= 1")
+        if self.family == "constant" and not self.radius >= 0:
+            raise ValueError(f"radius = {self.radius!r} must be non-negative")
+        if self.family == "absorbing-ball" and not self.factor >= 0:
+            raise ValueError(f"factor = {self.factor!r} must be non-negative")
 
     def radius_at(self, tau: float, path: WienerPath, alpha: float, spec: ModelSpec,
                   absorbing: AbsorbingSpec, grid: Grid) -> float:
@@ -145,6 +149,8 @@ def _mode_table(grid: Grid, modes: int) -> np.ndarray:
 def sample_initial(family: TemperedFamilySpec, grid: Grid, radius: float,
                    rng: np.random.Generator) -> Field:
     """Smooth random state with L2 norm radius * xi, xi uniform in (0, 1]."""
+    if not radius >= 0:
+        raise ValueError(f"radius = {radius!r} must be non-negative")
     table = _mode_table(grid, family.modes)
     coeff = rng.normal(0.0, 1.0, size=family.modes) / np.arange(1, family.modes + 1)
     shape = np.tensordot(coeff, table, axes=(0, 0))
@@ -413,8 +419,7 @@ class CalibrationConfig:
     modes: int = 8
 
 
-def calibrate_c(spec: ModelSpec, grid: Grid, absorbing_base: AbsorbingSpec | None = None,
-                config: CalibrationConfig | None = None) -> float:
+def calibrate_c(spec: ModelSpec, grid: Grid, config: CalibrationConfig | None = None) -> float:
     """Smallest grid constant absorbing a reference ensemble, doubled.
 
     Runs pullback trajectories from a large constant ball across the
@@ -425,11 +430,10 @@ def calibrate_c(spec: ModelSpec, grid: Grid, absorbing_base: AbsorbingSpec | Non
     safety factor is returned; exhausting the grid raises CalibrationError.
     """
     cfg = config or CalibrationConfig()
-    base = absorbing_base or AbsorbingSpec(c_abs=1.0)
-    unit = AbsorbingSpec(c_abs=1.0, s_trunc=base.s_trunc, step=base.step)
+    unit = AbsorbingSpec(c_abs=1.0)
     family = TemperedFamilySpec("constant", radius=cfg.init_radius, modes=cfg.modes)
 
-    s_max = max(cfg.horizon, base.s_trunc)
+    s_max = max(cfg.horizon, unit.s_trunc)
     columns, m_units = [], []
     for seed in cfg.seeds:
         path = sample_two_sided_path(seed, s_max, cfg.dt)

@@ -39,7 +39,7 @@ from .attractor import (
 )
 from .cocycle import CocycleQuery, energy_certificate, h1_certificate, phi_record
 from .errors import DivergenceError, WindowExceededError
-from .fields import Field, Grid, field_to_csv, write_field_block
+from .fields import Grid, field_to_csv, write_field_block
 from .model import (
     ModelSpec,
     Nonlinearity,
@@ -216,6 +216,14 @@ def _list(item):
     return lambda text: tuple(item(p) for p in text.split(",") if p.strip())
 
 
+def _flag(text: str) -> bool:
+    """configparser's boolean spellings: 1/yes/true/on and 0/no/false/off."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"{text!r} is not a boolean") from None
+
+
 #: section -> key -> parser of the INI text; every other entry is unknown
 _SCHEMA = {
     "model": {"lam": _number, "alpha": _number, "nonlinearity": str.strip,
@@ -229,7 +237,7 @@ _SCHEMA = {
                    "c_abs": _number, "s_trunc": _number, "quad_step": _number,
                    "family": str.strip, "ball_factor": _number, "init_radius": _number,
                    "modes": int, "tail_radius": _number},
-    "output": {"write_fields": lambda text: text.strip().lower() in ("1", "true", "yes", "on")},
+    "output": {"write_fields": _flag},
 }
 
 
@@ -272,10 +280,10 @@ def _write_manifest(out_dir: str, command: str, config: ExperimentConfig, seed) 
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
-def _initial_state(config: ExperimentConfig, grid: Grid, seed: int) -> Field:
-    family = TemperedFamilySpec("constant", radius=config.init_radius, modes=config.modes)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0, 0)))
-    return sample_initial(family, grid, config.init_radius, rng)
+@_section("experiment")
+def _initial_family(config: ExperimentConfig) -> TemperedFamilySpec:
+    """The ball of radius init_radius that simulate and certify draw their state from."""
+    return TemperedFamilySpec("constant", radius=config.init_radius, modes=config.modes)
 
 
 # -- command bodies --------------------------------------------------------------
@@ -307,8 +315,10 @@ def _run_record(config: ExperimentConfig, seed: int, out_dir: str):
     spec = config.build_spec()
     grid = config.build_grid()
     _require_steps("time.t_final", config.t_final, config.dt)
+    family = _initial_family(config)
     path = _sample_path(config, seed, config.path_span())
-    u0 = _initial_state(config, grid, seed)
+    u0 = sample_initial(family, grid, family.radius,
+                        np.random.default_rng(np.random.SeedSequence((seed, 0, 0))))
     query = CocycleQuery(config.t_final, config.tau, path, u0, config.alpha)
     rec = phi_record(query, spec, config.dt)
     _write_csv(os.path.join(out_dir, "trajectory.csv"), ("t", "v_sq", "gradv_sq", "z_sq"), zip(
@@ -364,6 +374,9 @@ def _cmd_attractor(config: ExperimentConfig, out_dir: str, seed: int, threads: i
 
 def _cmd_periodicity(config: ExperimentConfig, out_dir: str, seed: int, threads: int) -> int:
     spec = config.build_spec()
+    if spec.g.period is None:
+        raise ConfigError(f"model.forcing = {config.forcing!r} has no period; "
+                          "periodicity needs periodic-bump")
     grid = config.build_grid()
     _require_pullback(config)
     family, absorbing = config.build_family(), config.build_absorbing()

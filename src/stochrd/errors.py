@@ -15,8 +15,8 @@ class DivergenceError(ArithmeticError):
     time (None when the column's first state was already non-finite).
     """
 
-    def __init__(self, t: float, message: str | None = None, column: int | None = None,
-                 last_v_sq: float | None = None, last_t: float | None = None):
+    def __init__(self, t: float, column: int | None = None, last_v_sq: float | None = None,
+                 last_t: float | None = None):
         self.t = float(t)
         self.column = column
         self.last_v_sq = last_v_sq
@@ -24,10 +24,10 @@ class DivergenceError(ArithmeticError):
         where = "" if column is None else f" in column {column}"
         last = ("" if last_v_sq is None
                 else f" (last finite |v|^2={last_v_sq:.6g} at t={last_t:.6g})")
-        super().__init__(message or f"trajectory diverged at t={t:.6g}{where}{last}")
+        super().__init__(f"trajectory diverged at t={t:.6g}{where}{last}")
 
     def __reduce__(self):
-        return type(self), (self.t, self.args[0], self.column, self.last_v_sq, self.last_t)
+        return type(self), (self.t, self.column, self.last_v_sq, self.last_t)
 
 
 class CalibrationError(RuntimeError):

@@ -194,7 +194,6 @@ class TrajectoryRecord:
     dt: float
     scheme: str
     alpha: float
-    forcing_offset: float = 0.0
 
     @property
     def t_start(self) -> float:
@@ -408,9 +407,7 @@ def _record(scheme: type, u_init: Field, t_start: float, t_end: float, path: Wie
         grid=grid, times=times, v_sq=v_sq, gradv_sq=gradv_sq, zsq_lp_p=zsq_lp_p,
         z_sq=z_sq, g_sq=g_sq,
         u_final=Field(grid, u_init.values if n == 0 else u_end[0]), v_final=v_end[0],
-        dt=dt, scheme=scheme.name, alpha=spec.alpha,
-        forcing_offset=forcing_offset,
-    )
+        dt=dt, scheme=scheme.name, alpha=spec.alpha)
 
 
 # -- the two solvers ---------------------------------------------------------

@@ -133,15 +133,6 @@ class WienerPath:
             return float(out)
         return out
 
-    def shift(self, t: float) -> "WienerPath":
-        """The shifted path s -> w(s + t) - w(t); t must lie on the grid."""
-        idx = self._i0 + _whole_steps(t, self.grid_step, "t")
-        if not 0 <= idx < self._base.size:
-            raise WindowExceededError(
-                f"t={t!r} outside sampled window [{self.t_min:.6g}, {self.t_max:.6g}]"
-            )
-        return WienerPath(self._base, idx, self.grid_step, seed=self.seed)
-
     # -- export -----------------------------------------------------------
 
     def to_csv(self, path) -> None:
@@ -178,7 +169,12 @@ def sample_two_sided_path(seed: int, s_max: float, grid_step: float) -> WienerPa
 
 def shift_path(path: WienerPath, t: float) -> WienerPath:
     """Group shift (shift_path(w, t))(s) = w(s + t) - w(t), grid t only."""
-    return path.shift(t)
+    idx = path._i0 + _whole_steps(t, path.grid_step, "t")
+    if not 0 <= idx < path._base.size:
+        raise WindowExceededError(
+            f"t={t!r} outside sampled window [{path.t_min:.6g}, {path.t_max:.6g}]"
+        )
+    return WienerPath(path._base, idx, path.grid_step, seed=path.seed)
 
 
 def z_value(path: WienerPath, alpha: float, t):

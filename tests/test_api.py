@@ -1,11 +1,17 @@
-"""The public API is exactly what __all__ lists, so any change to it shows in a diff; and
-every private module-level name is used somewhere in the package."""
+"""The public API is exactly what __all__ lists, so any change to it shows in a diff;
+every private module-level name is used somewhere in the package; and every default of
+the public API is overridden by some caller."""
 
 import ast
+import dataclasses
+import inspect
 import types
+from collections import defaultdict
 from pathlib import Path
 
 import stochrd
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_all_lists_every_public_name_once():
@@ -42,3 +48,47 @@ def test_every_private_helper_is_used():
             if not any(name in _used(other) for other in statements if other is not stmt):
                 unused.append(name)
     assert unused == []
+
+
+def _public_callables():
+    """(label, callee name, function, skip) for every public function and method in
+    __all__; skip counts the leading parameters a call does not pass (self or cls)."""
+    for name in stochrd.__all__:
+        obj = getattr(stochrd, name)
+        if inspect.isfunction(obj):
+            yield name, name, obj, 0
+        elif inspect.isclass(obj):
+            if not dataclasses.is_dataclass(obj) and "__init__" in vars(obj):
+                yield name, name, obj.__init__, 1
+            for attr, member in vars(obj).items():
+                if attr.startswith("_"):
+                    continue
+                if isinstance(member, (staticmethod, classmethod)):
+                    skip = int(isinstance(member, classmethod))
+                    yield f"{name}.{attr}", attr, member.__func__, skip
+                elif inspect.isfunction(member):
+                    yield f"{name}.{attr}", attr, member, 1
+
+
+def test_every_default_has_a_caller():
+    # every call in the package, the tests, the demos and the benchmark, by callee name
+    counts, keywords, starred = defaultdict(set), defaultdict(set), set()
+    for folder in ("src/stochrd", "tests", "demos", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                counts[callee].add(len(node.args))
+                keywords[callee].update(k.arg for k in node.keywords)
+                if any(isinstance(a, ast.Starred) for a in node.args) or None in keywords[callee]:
+                    starred.add(callee)  # *args or **kwargs passes every parameter
+    unset = []
+    for label, callee, fn, skip in _public_callables():
+        params = list(inspect.signature(fn).parameters.values())[skip:]
+        for i, param in enumerate(params):
+            if param.default is param.empty or callee in starred or param.name in keywords[callee]:
+                continue
+            if param.kind is param.KEYWORD_ONLY or not any(c > i for c in counts[callee]):
+                unset.append(f"{label}({param.name})")
+    assert unset == []

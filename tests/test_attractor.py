@@ -146,6 +146,18 @@ def test_family_validation():
         TemperedFamilySpec("constant", modes=0)
 
 
+def test_negative_radius_rejected():
+    with pytest.raises(ValueError, match="radius"):
+        TemperedFamilySpec("constant", radius=-1.0)
+    with pytest.raises(ValueError, match="factor"):
+        TemperedFamilySpec("absorbing-ball", factor=-1.0)
+    # each family checks only the field it reads
+    TemperedFamilySpec("constant", factor=-1.0)
+    fam = TemperedFamilySpec("absorbing-ball", radius=-1.0)
+    with pytest.raises(ValueError, match="radius"):
+        sample_initial(fam, G, -0.5, np.random.default_rng(0))
+
+
 def test_sample_initial_norm_and_boundary():
     fam = TemperedFamilySpec("constant", radius=2.0, modes=8)
     rng = np.random.default_rng(0)

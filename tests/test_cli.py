@@ -80,6 +80,9 @@ def test_load_config_rejects_malformed_values(tmp_path):
         ("horizons = 1.0, 2.0", "horizons = 1.0, -inf", "experiment.horizons"),
         ("seed = 7", "seed = -1", "noise.seed"),
         ("seeds = 1, 2", "seeds = 1, -2", "experiment.seeds"),
+        # only configparser's boolean spellings
+        ("eps_semi = 0.5", "eps_semi = 0.5\n\n[output]\nwrite_fields = ture",
+         "output.write_fields"),
     ]:
         with pytest.raises(ConfigError, match=rf"bad value for {key}:"):
             load_config(write_config(tmp_path, SMALL.replace(old, new)))
@@ -291,9 +294,19 @@ def test_step_grid_mismatch_exits_2(tmp_path, capsys):
     ("sweep-alpha", "seeds = 1, 2", "seeds =", "experiment.seeds"),
     ("sweep-alpha", "alphas = 0.5, 0.1", "alphas =", "experiment.alphas"),
     ("sweep-alpha", "eps_semi = 0.5", "eps_semi = 0.5\ntail_radius = -1", "experiment.tail_radius"),
+    ("periodicity", "alpha = 0.5", "alpha = 0.5\nforcing = zero", "model.forcing"),
+    ("periodicity", "alpha = 0.5", "alpha = 0.5\nforcing = constant-bump", "model.forcing"),
+    ("simulate", "init_radius = 1.0", "init_radius = -1", "[experiment]"),
+    ("certify", "init_radius = 1.0", "init_radius = -1", "[experiment]"),
+    ("attractor", "init_radius = 1.0", "init_radius = -1", "[experiment]"),
+    ("attractor", "family = constant", "family = absorbing-ball\nball_factor = -1",
+     "[experiment]"),
+    ("simulate", "init_radius = 1.0", "init_radius = 1.0\nmodes = 0", "[experiment]"),
 ], ids=["alpha", "family", "n", "lam", "delta", "m_samples", "c_abs", "s_trunc",
         "s_trunc-zero", "s_trunc-sweep", "h1-window", "seeds-empty", "alphas-empty",
-        "tail_radius"])
+        "tail_radius", "periodicity-zero-forcing", "periodicity-constant-forcing",
+        "simulate-init_radius", "certify-init_radius", "attractor-init_radius",
+        "attractor-ball_factor", "simulate-modes"])
 def test_invalid_value_exits_2(tmp_path, capsys, monkeypatch, command, old, new, named):
     text = SMALL.replace(old, new)
     assert text != SMALL

@@ -212,6 +212,20 @@ def test_divergent_forcing_fails_not_raises():
     assert rep.worst_margin < 0.0
 
 
+def test_tempered_check_at_a_late_anchor(tmp_path):
+    # exp(delta * tau) overflows at tau = 2000; the margins never use it,
+    # so the probe records null and the verdict stands
+    forcing = periodic_bump_forcing(0.05, period=1.0)
+    rep = check_g_tempered(forcing, delta=0.5, c_probe=1.0,
+                           probe_times=[2000.0, -10.0, -20.0, -30.0], grid=G)
+    probe = rep.details["probes"][repr(2000.0)]
+    assert probe["memory_integral"] is None
+    assert np.isfinite(probe["margin"]) and np.isfinite(rep.worst_margin)
+    assert rep.passed
+    rep.write_json(tmp_path / "forcing_report.json")
+    assert '"memory_integral": null' in (tmp_path / "forcing_report.json").read_text()
+
+
 def test_tempered_check_validation():
     forcing = periodic_bump_forcing(0.05)
     with pytest.raises(ValueError):
