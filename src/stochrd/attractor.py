@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CalibrationError, DivergenceError
-from .fields import (Field, Grid, _l2_distances, norms, read_field_block, tail_mass,
+from .fields import (Field, Grid, _l2_distances, _l2_sq_rows, norms, read_field_block,
                      write_field_block)
 from .model import ModelSpec
 from .report import _write_csv, _write_json
@@ -216,7 +216,11 @@ class AttractorApprox:
     eps_att: float
 
     def max_tail(self, k: float) -> float:
-        return max(tail_mass(f, k) for f in self.endpoints)
+        if k < 0:
+            raise ValueError("k must be nonnegative")
+        outside = self.endpoints[0].grid.radius() >= k
+        tails = np.stack([f.values[outside] for f in self.endpoints])
+        return float(_l2_sq_rows(tails, self.endpoints[0].grid).max())
 
     def to_json_dict(self) -> dict:
         return {
@@ -446,7 +450,7 @@ def calibrate_c(spec: ModelSpec, grid: Grid, config: CalibrationConfig | None = 
                 columns.append(_Column(u0.values, 0.0, cfg.horizon, shifted, alpha,
                                        cfg.tau - cfg.horizon))
     ends = _integrate(columns, spec, grid, cfg.dt)[1]
-    needed = max(norms(Field(grid, u)).l2 / m for u, m in zip(ends, m_units))
+    needed = max(float(r) / m for r, m in zip(np.sqrt(_l2_sq_rows(ends, grid)), m_units))
     c = cfg.c_floor
     while c <= cfg.c_cap:
         if c >= needed:

@@ -190,14 +190,16 @@ def _sample_path(config: ExperimentConfig, seed: int, span: float):
 
 
 def _require_pullback(config: ExperimentConfig) -> None:
-    """Positive increasing whole-step horizons and at least one member per horizon."""
+    """Two or more positive increasing whole-step horizons, members and a positive eps_att."""
     horizons = list(config.horizons)
-    if not horizons or horizons[0] <= 0 or sorted(horizons) != horizons:
-        raise ConfigError("experiment.horizons must be positive and increasing")
+    if len(horizons) < 2 or horizons[0] <= 0 or sorted(horizons) != horizons:
+        raise ConfigError("experiment.horizons must be positive and increasing, two at least")
     for t in horizons:
         _require_steps("experiment.horizons", t, config.dt)
     if config.m_samples < 1:
         raise ConfigError(f"experiment.m_samples = {config.m_samples!r} must be >= 1")
+    if not config.eps_att > 0:
+        raise ConfigError(f"experiment.eps_att = {config.eps_att!r} must be positive")
 
 
 def _number(text: str) -> float:
@@ -209,6 +211,12 @@ def _number(text: str) -> float:
 def _seed(text: str) -> int:
     if (value := int(text)) < 0:
         raise ValueError(f"seed {text!r} is negative")
+    return value
+
+
+def _count(text: str) -> int:
+    if (value := int(text)) < 1:
+        raise ValueError(f"count {text!r} is below 1")
     return value
 
 
@@ -409,6 +417,8 @@ def _cmd_sweep(config: ExperimentConfig, out_dir: str, seed, threads: int) -> in
         raise ConfigError("experiment.alphas must be nonempty and decrease strictly inside (0, 1]")
     if config.tail_radius is not None and config.tail_radius < 0:
         raise ConfigError(f"experiment.tail_radius = {config.tail_radius!r} is negative")
+    if not config.eps_semi > 0:
+        raise ConfigError(f"experiment.eps_semi = {config.eps_semi!r} must be positive")
     _require_pullback(config)
     # the span sweep_alpha samples for each seed
     _require_steps("the sweep path span", max(config.horizons) + config.s_trunc
@@ -472,7 +482,7 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="experiment INI file")
     parser.add_argument("--out", default="out", help="artifact directory")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=_count, default=1)
     parser.add_argument("--seed", type=_seed, default=None,
                         help="override the configured noise seed")
     args = parser.parse_args(argv)

@@ -156,39 +156,35 @@ class FieldNorms:
     p: float
 
 
+# The norm kernels give each row of a C-ordered block (a[:, mask] is not) its own bits.
 def _l2_sq_rows(block: np.ndarray, grid: Grid) -> np.ndarray:
-    """Squared grid L2 norm of every row of a (K, ...) block; the one L2 kernel."""
+    """Squared grid L2 norm of every row of a (K, ...) block."""
     return grid.cell_measure * np.sum((block * block).reshape(len(block), -1), axis=1)
 
 
-def _l2_sq(values: np.ndarray, grid: Grid) -> float:
-    return float(_l2_sq_rows(values[None], grid)[0])
+def _h1_sq_rows(block: np.ndarray, grid: Grid) -> np.ndarray:
+    """Squared H1 seminorm of every row; in 1-d np.vecdot has the bits of np.dot per row."""
+    dx = np.diff(block, axis=1)
+    if grid.dim == 1:
+        return np.vecdot(dx, dx) / grid.h
+    dy = np.diff(block, axis=2)
+    return (np.sum((dx * dx).reshape(len(block), -1), axis=1)
+            + np.sum((dy * dy).reshape(len(block), -1), axis=1))  # h^2 / h^2 = 1
+
+
+def _lp_p_rows(block: np.ndarray, grid: Grid, p: float, weight: float = 1.0) -> np.ndarray:
+    """weight * |row|_{Lp}^p for every row, exact products at p = 2 and 4; weight * h^dim
+    is formed first, so a weighted call rounds as weight * h^dim * sum does."""
+    q = block * block if p in (2.0, 4.0) else np.abs(block) ** p
+    if p == 4.0:
+        q = q * q
+    return weight * grid.cell_measure * np.sum(q.reshape(len(block), -1), axis=1)
 
 
 def _l2_distances(a: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarray:
     """Grid L2 distance of every row of block a to every row of block b, (len(a), len(b))."""
     d = (a[:, None] - b[None, :]).reshape(len(a) * len(b), -1)
     return np.sqrt(_l2_sq_rows(d, grid)).reshape(len(a), len(b))
-
-
-def _h1_sq(values: np.ndarray, grid: Grid) -> float:
-    h = grid.h
-    if grid.dim == 1:
-        d = np.diff(values)
-        return float(np.dot(d, d) / h)
-    dx = np.diff(values, axis=0)
-    dy = np.diff(values, axis=1)
-    return float((np.sum(dx * dx) + np.sum(dy * dy)))  # h^2 / h^2 = 1
-
-
-def _lp_p(values: np.ndarray, p: float) -> np.ndarray:
-    """Elementwise |values|^p, with exact products for p = 2 and p = 4."""
-    if p == 2.0:
-        return values * values
-    if p == 4.0:
-        q = values * values
-        return q * q
-    return np.abs(values) ** p
 
 
 def norms(field: Field, p: float = 2.0) -> FieldNorms:
@@ -201,11 +197,11 @@ def norms(field: Field, p: float = 2.0) -> FieldNorms:
     if not p >= 1:
         raise ValueError("p must be >= 1")
     g = field.grid
-    v = field.values
+    v = field.values[None]
     return FieldNorms(
-        l2=float(np.sqrt(_l2_sq(v, g))),
-        h1_semi=float(np.sqrt(_h1_sq(v, g))),
-        lp=float(g.cell_measure * np.sum(_lp_p(v, p))) ** (1.0 / p),
+        l2=float(np.sqrt(_l2_sq_rows(v, g)[0])),
+        h1_semi=float(np.sqrt(_h1_sq_rows(v, g)[0])),
+        lp=float(_lp_p_rows(v, g, p)[0]) ** (1.0 / p),
         p=p,
     )
 
@@ -214,8 +210,7 @@ def l2_distance(a: Field, b: Field) -> float:
     """Grid L2 distance; both fields must share a grid."""
     if a.grid != b.grid:
         raise ValueError("fields live on different grids")
-    d = a.values - b.values
-    return float(np.sqrt(_l2_sq(d, a.grid)))
+    return float(_l2_distances(a.values[None], b.values[None], a.grid)[0, 0])
 
 
 def tail_mass(field: Field, k: float) -> float:
@@ -227,7 +222,7 @@ def tail_mass(field: Field, k: float) -> float:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return _l2_sq(field.values[field.grid.radius() >= k], field.grid)
+    return float(_l2_sq_rows(field.values[None, field.grid.radius() >= k], field.grid)[0])
 
 
 # -- serialization --------------------------------------------------------

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import Field, Grid, _l2_sq
+from .fields import Field, Grid, _l2_sq_rows
 from .report import CertificateReport
 from .wiener import _whole_steps, quad_exp
 
@@ -89,7 +89,7 @@ ZERO_PROFILE = Profile("zero")
 
 @lru_cache(maxsize=64)
 def _profile_norm_sq(profile: Profile, grid: Grid) -> float:
-    return _l2_sq(profile.on_grid(grid), grid)
+    return float(_l2_sq_rows(profile.on_grid(grid)[None], grid)[0])
 
 
 @lru_cache(maxsize=64)

@@ -223,37 +223,28 @@ def sweep_alpha(
         raise ValueError("tail_radius must be nonnegative")
 
     s_max = max(horizons) + absorbing.s_trunc + abs(tau)
-    dist_acc = {a: 0.0 for a in alphas}
-    rad_acc = {a: 0.0 for a in alphas + [0.0]}
-    tail_acc = {a: 0.0 for a in alphas + [0.0]}
-    conv_acc = {a: True for a in alphas + [0.0]}
-
+    ladder = [0.0] + alphas
+    radii, sections = [], []  # per seed, one entry per intensity of the ladder
     for seed in seeds:
         path = sample_two_sided_path(seed, s_max, dt)
-        a0, *noisy = _pullback_sets(
-            [(tau, seed)], path, [0.0] + alphas, spec, grid, horizons, m_samples, family,
-            absorbing, dt, eps_att, workers,
-        )
-        rad_acc[0.0] = max(rad_acc[0.0], deterministic_radius(tau, spec, absorbing, grid))
-        tail_acc[0.0] = max(tail_acc[0.0], a0.max_tail(tail_radius))
-        conv_acc[0.0] = conv_acc[0.0] and a0.converged
-        for a, aa in zip(alphas, noisy):
-            dist_acc[a] = max(dist_acc[a], hausdorff_semidist(aa, a0))
-            rad_acc[a] = max(rad_acc[a], absorbing_radius(tau, path, a, spec, absorbing, grid))
-            tail_acc[a] = max(tail_acc[a], aa.max_tail(tail_radius))
-            conv_acc[a] = conv_acc[a] and aa.converged
+        sections.append(_pullback_sets([(tau, seed)], path, ladder, spec, grid, horizons,
+                                       m_samples, family, absorbing, dt, eps_att, workers))
+        # at alpha = 0 the path weight is exp(-0.0 w) = 1.0, the deterministic radius
+        radii.append([absorbing_radius(tau, path, a, spec, absorbing, grid) for a in ladder])
 
-    rows = [
-        SweepRow(alpha=a, dist=dist_acc[a], absorbing_radius=rad_acc[a],
-                 max_tail=tail_acc[a], converged=conv_acc[a])
-        for a in alphas
-    ]
-    rows.append(SweepRow(alpha=0.0, dist=0.0, absorbing_radius=rad_acc[0.0],
-                         max_tail=tail_acc[0.0], converged=conv_acc[0.0]))
+    # each row is the worst case over the seeds; the alpha = 0 row goes last
+    rows = [SweepRow(
+        alpha=a,
+        dist=max(hausdorff_semidist(sets[i], sets[0]) for sets in sections) if i else 0.0,
+        absorbing_radius=max(r[i] for r in radii),
+        max_tail=max(sets[i].max_tail(tail_radius) for sets in sections),
+        converged=all(sets[i].converged for sets in sections),
+    ) for i, a in enumerate(ladder)]
+    rows = rows[1:] + rows[:1]
 
-    ladder = [dist_acc[a] for a in alphas]
-    contract = bool(ladder[-1] < eps_semi and _no_uptick(ladder, eps_att)
-                    and all(conv_acc.values()))
+    dists = [r.dist for r in rows[:-1]]
+    contract = bool(dists[-1] < eps_semi and _no_uptick(dists, eps_att)
+                    and all(r.converged for r in rows))
     return SweepResult(
         tau=tau, seeds=[int(s) for s in seeds], alphas=alphas, rows=rows,
         eps_semi=eps_semi, eps_att=eps_att, tail_radius=float(tail_radius),

@@ -61,7 +61,7 @@ from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dpbtrs, dpttrf, dpttrs
 
 from .errors import DivergenceError
-from .fields import Field, Grid, _h1_sq, _l2_sq_rows, _lp_p
+from .fields import Field, Grid, _h1_sq_rows, _l2_sq_rows, _lp_p_rows
 from .model import ModelSpec, _profile_norm_sq
 from .wiener import WienerPath, _whole_steps
 
@@ -386,7 +386,6 @@ def _record(scheme: type, u_init: Field, t_start: float, t_end: float, path: Wie
     n = _n_steps(t_start, t_end, dt)
     col = _Column(u_init.values, t_start, t_end, path, spec.alpha, forcing_offset)
     times, omega, amp = _series(col, spec, dt, 0, n)
-    cm = grid.cell_measure
     prof_sq = 0.0 if spec.g.is_zero() else _profile_norm_sq(spec.g.profile, grid)
     z = np.exp(-spec.alpha * omega)
     z_sq = z * z
@@ -397,10 +396,10 @@ def _record(scheme: type, u_init: Field, t_start: float, t_end: float, path: Wie
 
     def observe(k, v, u, v_sq_k):
         # keep a zero-step call an exact identity (no z round trip)
-        u = u_init.values if n == 0 else u[0]
+        u = u_init.values[None] if n == 0 else u
         v_sq[k] = v_sq_k[0]
-        gradv_sq[k] = _h1_sq(v[0], grid)
-        zsq_lp_p[k] = z_sq[k] * cm * np.sum(_lp_p(u, spec.p))
+        gradv_sq[k] = _h1_sq_rows(v, grid)[0]
+        zsq_lp_p[k] = _lp_p_rows(u, grid, spec.p, z_sq[k])[0]
 
     v_end, u_end = _integrate([col], spec, grid, dt, diffusion, scheme, observe)
     return TrajectoryRecord(

@@ -104,6 +104,13 @@ def test_main_exit_codes_for_bad_usage(tmp_path, capsys):
     assert exc.value.code == 2
     assert "--seed" in capsys.readouterr().err
     assert not (tmp_path / "neg").exists()
+    for count in ("-3", "0"):
+        with pytest.raises(SystemExit) as exc:
+            main(["attractor", "--config", write_config(tmp_path, name="ok.ini"),
+                  "--threads", count, "--out", str(tmp_path / "threads")])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "threads").exists()
 
 
 # -- command exit codes -----------------------------------------------------------
@@ -302,11 +309,16 @@ def test_step_grid_mismatch_exits_2(tmp_path, capsys):
     ("attractor", "family = constant", "family = absorbing-ball\nball_factor = -1",
      "[experiment]"),
     ("simulate", "init_radius = 1.0", "init_radius = 1.0\nmodes = 0", "[experiment]"),
+    ("attractor", "eps_att = 0.5", "eps_att = -1", "experiment.eps_att"),
+    ("periodicity", "eps_att = 0.5", "eps_att = 0", "experiment.eps_att"),
+    ("sweep-alpha", "eps_semi = 0.5", "eps_semi = -1", "experiment.eps_semi"),
+    ("attractor", "horizons = 1.0, 2.0", "horizons = 2.0", "experiment.horizons"),
 ], ids=["alpha", "family", "n", "lam", "delta", "m_samples", "c_abs", "s_trunc",
         "s_trunc-zero", "s_trunc-sweep", "h1-window", "seeds-empty", "alphas-empty",
         "tail_radius", "periodicity-zero-forcing", "periodicity-constant-forcing",
         "simulate-init_radius", "certify-init_radius", "attractor-init_radius",
-        "attractor-ball_factor", "simulate-modes"])
+        "attractor-ball_factor", "simulate-modes", "attractor-eps_att",
+        "periodicity-eps_att", "sweep-eps_semi", "attractor-one-depth"])
 def test_invalid_value_exits_2(tmp_path, capsys, monkeypatch, command, old, new, named):
     text = SMALL.replace(old, new)
     assert text != SMALL

@@ -1,5 +1,5 @@
 """Property tests of exact invariants: block deviation, the block periodicity and cocycle
-checks, the 2-d sine solve, shift group law, field IO, the whole-step rule, the L2
+checks, the 2-d sine solve, shift group law, field IO, the whole-step rule, the norm
 kernels, the weight cocycle and the sign of margins."""
 
 import os
@@ -43,7 +43,7 @@ from stochrd import (
 )
 from stochrd import solver
 from stochrd.attractor import _dedup
-from stochrd.fields import _l2_distances, _l2_sq_rows
+from stochrd.fields import _h1_sq_rows, _l2_distances, _l2_sq_rows, _lp_p_rows
 from stochrd.model import _memory_integral
 from stochrd.solver import _Column, _integrate, _SineFactor, _SparseFactor
 from stochrd.wiener import _whole_steps
@@ -241,6 +241,45 @@ def test_distance_kernels_match_the_field_loops(blocks, tol):
         if all(l2_distance(f, g) > tol for g in kept):
             kept.append(f)
     assert _dedup(fa, tol) == kept
+
+
+def _h1_sq_field(v, grid):
+    """The single-field H1 formula: np.dot in 1-d, two plain sums in 2-d."""
+    if grid.dim == 1:
+        d = np.diff(v)
+        return float(np.dot(d, d) / grid.h)
+    dx = np.diff(v, axis=0)
+    dy = np.diff(v, axis=1)
+    return float(np.sum(dx * dx) + np.sum(dy * dy))
+
+
+def _lp_p_field(v, grid, p, weight):
+    """The single-field Lp formula, weight * h^dim * sum |v|^p, exact products at 2 and 4."""
+    q = v * v if p == 2.0 else (v * v) * (v * v) if p == 4.0 else np.abs(v) ** p
+    return float(weight * grid.cell_measure * np.sum(q))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.sampled_from([(1, 17), (1, 257), (2, 17)]), k=st.integers(1, 8),
+       half_width=st.sampled_from([4.0, 5.0]),
+       p=st.sampled_from([2.0, 4.0, 3.0]), weight=st.floats(1e-3, 1e3),
+       seed=st.integers(0, 2**32 - 1), exponent=st.floats(-8.0, 2.0))
+def test_row_kernels_match_the_field_formulas(shape, k, half_width, p, weight, seed, exponent):
+    # half-width 5 gives a cell measure that is no power of two, so weight * h^dim rounds
+    dim, n = shape
+    grid = Grid(dim=dim, half_width=half_width, n=n)
+    block = 10.0 ** exponent * np.random.default_rng(seed).standard_normal((k,) + grid.shape)
+    h1 = _h1_sq_rows(block, grid)
+    lp = _lp_p_rows(block, grid, p)
+    lp_w = _lp_p_rows(block, grid, p, weight)
+    assert h1.tolist() == [_h1_sq_field(v, grid) for v in block]
+    assert lp.tolist() == [_lp_p_field(v, grid, p, 1.0) for v in block]
+    assert lp_w.tolist() == [_lp_p_field(v, grid, p, weight) for v in block]
+    for j in range(k):  # each row of the block is its own K = 1 value
+        row = block[j:j + 1]
+        assert h1[j] == _h1_sq_rows(row, grid)[0]
+        assert lp[j] == _lp_p_rows(row, grid, p)[0]
+        assert _l2_sq_rows(block, grid)[j] == _l2_sq_rows(row, grid)[0]
 
 
 # -- the conjugation weight and the sign of margins ----------------------------------------
