@@ -208,6 +208,12 @@ def _number(text: str) -> float:
     return value
 
 
+def _span(text: str) -> float:
+    if (value := _number(text)) < 0:
+        raise ValueError(f"span {text!r} is negative")
+    return value
+
+
 def _seed(text: str) -> int:
     if (value := int(text)) < 0:
         raise ValueError(f"seed {text!r} is negative")
@@ -239,7 +245,7 @@ _SCHEMA = {
               "forcing_support": _number, "delta": _number},
     "grid": {"dim": int, "half_width": _number, "n": int},
     "time": {"dt": _number, "t_final": _number, "tau": _number},
-    "noise": {"seed": _seed, "s_max": _number},
+    "noise": {"seed": _seed, "s_max": _span},
     "experiment": {"horizons": _list(_number), "m_samples": int, "alphas": _list(_number),
                    "seeds": _list(_seed), "eps_att": _number, "eps_semi": _number,
                    "c_abs": _number, "s_trunc": _number, "quad_step": _number,

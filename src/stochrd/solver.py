@@ -41,13 +41,13 @@ solves it was validated with, banded Cholesky in 1-d and sparse LU in
 and the two routes share no solver.  Each scheme names its factor per
 dimension in its `factors` pair.
 
-Single runs return a TrajectoryRecord carrying the per-step scalar
-ledger (|v|^2, |grad v|^2, z^2 |u|_p^p, z^2, |g|^2) consumed by the
-energy and gradient certificates; block runs keep only the per-step
-finite check, and a caller that needs more of the trajectory reads it
-through the observe hook of _integrate.  A non-finite state aborts
-integration with DivergenceError naming the first bad time, the column
-and that column's last finite |v|^2 with its time.
+Steps write a buffer of consecutive states (at most _CHUNK floats, never
+across a table window); the finite check and the observe hook of
+_integrate run once per buffer, one row-kernel call per quantity, and a
+single run observes the per-step ledger of its TrajectoryRecord (|v|^2,
+|grad v|^2, z^2 |u|_p^p, z^2, |g|^2) for the energy and gradient
+certificates.  A non-finite state aborts integration with DivergenceError
+naming the first bad time, the column and its last finite |v|^2 and time.
 """
 
 from __future__ import annotations
@@ -67,6 +67,8 @@ from .wiener import WienerPath, _whole_steps
 
 #: steps per table window of path weights and forcing amplitudes
 _WINDOW = 1024
+#: floats of state per integration chunk, between two finite checks
+_CHUNK = 2**16
 
 
 # -- implicit operator -----------------------------------------------------
@@ -234,34 +236,34 @@ def _series(col: _Column, spec: ModelSpec, dt: float, lo: int, hi: int):
     return times, omega, amp
 
 
-def _tables(cols, starts, spec: ModelSpec, dt: float, lo: int, hi: int, active: int):
-    """Per-column weights and amplitudes on global ledger indices lo..hi, one row per index.
+def _tables(cols, starts, spec: ModelSpec, dt: float, lo: int, hi: int):
+    """Per-column weights and step coefficients on ledger indices lo..hi, one row per index.
 
     Column j starts at global index starts[j]; rows before its start are
     padding that no step reads.
     """
-    shape = (hi - lo + 1, active)
+    shape = (hi - lo + 1, len(cols))
     tab = SimpleNamespace(omega=np.zeros(shape), z=np.ones(shape), zinv=np.ones(shape),
                           amp=np.zeros(shape))
     shared: dict = {}  # columns on one path, clock and span share their series
-    for j in range(active):
-        c = cols[j]
+    for j, c in enumerate(cols[:sum(s <= hi for s in starts)]):
         first = max(lo, starts[j])
         key = (id(c.path), c.t_start, c.forcing_offset, first - starts[j], hi - starts[j])
         if key not in shared:
             shared[key] = _series(c, spec, dt, *key[3:])
         _, omega, amp = shared[key]
         rows = slice(first - lo, None)
-        alpha = c.alpha
         tab.omega[rows, j] = omega
-        tab.z[rows, j] = np.exp(-alpha * omega)
-        tab.zinv[rows, j] = np.exp(alpha * omega)
+        tab.z[rows, j] = np.exp(-c.alpha * omega)
+        tab.zinv[rows, j] = np.exp(c.alpha * omega)
         tab.amp[rows, j] = amp
+    tab.dz, tab.dta = dt * tab.z, dt * tab.amp
+    tab.dza = tab.dz * tab.amp
     return tab
 
 
 class _Scheme:
-    """Shared data of one IMEX step: reaction, forcing profile, implicit solve."""
+    """One IMEX step (reaction, forcing, implicit solve) and the v, u views of its states."""
 
     #: implicit factor per dimension, 1-d then 2-d
     factors: tuple = (_TridiagonalFactor, _SineFactor)
@@ -273,16 +275,23 @@ class _Scheme:
         self.profile = None if spec.g.is_zero() else spec.g.profile.on_grid(grid)
         self.factor = _implicit_factor(grid, spec.lam, dt, diffusion, self.factors)
         self.alphas = alphas
+        # a step's u = v / z and rhs: fresh blocks per step let glibc trim and refault in 2-d
+        self.work = np.empty((len(alphas),) + grid.shape)
         # broadcast one scalar per column over the field axes
-        self.col = (slice(None),) + (None,) * grid.dim
+        self.col = (Ellipsis,) + (None,) * grid.dim
         self.inner = (slice(None),) + (slice(1, -1),) * grid.dim
 
+    def v(self, block, tab, rows):  # a (rows, K, ...) block at table rows `rows`
+        return block
+
+    u = v
+
     def _force(self, rhs, coeff):
-        if self.profile is not None and coeff.any():
+        if self.profile is not None:
             rhs += coeff[self.col] * self.profile
 
-    def _solve(self, state, rhs):
-        state[self.inner] = self.factor.solve(rhs[self.inner])
+    def _solve(self, dst, rhs):
+        dst[self.inner] = self.factor.solve(rhs[self.inner])
 
 
 class _Transform(_Scheme):
@@ -293,14 +302,15 @@ class _Transform(_Scheme):
     def start(self, u0, tab, i, j):
         return tab.z[i, j] * u0
 
-    def views(self, state, tab, i, a):
-        return state, tab.zinv[i, :a][self.col] * state
+    def u(self, block, tab, rows):
+        return tab.zinv[rows, :block.shape[1]][self.col] * block
 
-    def step(self, state, u, tab, i, a):
-        dz = self.dt * tab.z[i, :a]
-        rhs = state + dz[self.col] * self.f.value(self.x, u)
-        self._force(rhs, dz * tab.amp[i, :a])
-        self._solve(state, rhs)
+    def step(self, src, dst, tab, i, a):
+        u = np.multiply(tab.zinv[i, :a][self.col], src, out=self.work[:a])
+        rhs = np.multiply(tab.dz[i, :a][self.col], self.f.value(self.x, u), out=self.work[:a])
+        rhs += src
+        self._force(rhs, tab.dza[i, :a])
+        self._solve(dst, rhs)
 
 
 class _Direct(_Scheme):
@@ -312,16 +322,17 @@ class _Direct(_Scheme):
     def start(self, u0, tab, i, j):
         return u0
 
-    def views(self, state, tab, i, a):
-        return tab.z[i, :a][self.col] * state, state
+    def v(self, block, tab, rows):
+        return tab.z[rows, :block.shape[1]][self.col] * block
 
-    def step(self, state, u, tab, i, a):
+    def step(self, u, dst, tab, i, a):
         alpha = self.alphas[:a]
         dw = tab.omega[i + 1, :a] - tab.omega[i, :a]
         ubar = u + (alpha * dw)[self.col] * u
-        rhs = u + self.dt * self.f.value(self.x, u) + (0.5 * alpha * dw)[self.col] * (u + ubar)
-        self._force(rhs, self.dt * tab.amp[i, :a])
-        self._solve(state, rhs)
+        rhs = np.add(u, self.dt * self.f.value(self.x, u), out=self.work[:a])
+        rhs += (0.5 * alpha * dw)[self.col] * (u + ubar)
+        self._force(rhs, tab.dta[i, :a])
+        self._solve(dst, rhs)
 
 
 def _integrate(columns, spec: ModelSpec, grid: Grid, dt: float, diffusion: bool = True,
@@ -331,8 +342,10 @@ def _integrate(columns, spec: ModelSpec, grid: Grid, dt: float, diffusion: bool 
     Returns the final (v, u) blocks, one row per column in input order.
     Each column carries its own intensity; spec.alpha is not read.
     Columns are ordered by decreasing step count and the integration
-    works on the active prefix of the block.  observe(k, v, u, v_sq), when
-    given, sees every ledger index of the active block before its step.
+    works on the active prefix of the block.  The finite check and observe(g, v, u,
+    v_sq), when given, run once per chunk of states, on (rows, K, ...) blocks from
+    ledger index g where a column that has not started holds its first state.
+    Before a DivergenceError, observe sees the finite prefix.
     """
     ns = [_n_steps(c.t_start, c.t_end, dt) for c in columns]
     order = sorted(range(len(columns)), key=lambda j: -ns[j])
@@ -340,40 +353,59 @@ def _integrate(columns, spec: ModelSpec, grid: Grid, dt: float, diffusion: bool 
     n_max = ns[order[0]]
     starts = [n_max - ns[j] for j in order]
     sch = scheme(spec, grid, dt, diffusion, np.array([c.alpha for c in cols]))
-    state = np.zeros((len(cols),) + grid.shape)
+    # buffer row r holds the state at ledger index g + r of the current chunk
+    buf = np.zeros((max(1, min(_WINDOW, _CHUNK // sch.work.size)),) + sch.work.shape)
     active = 0
-    prev_sq = np.empty(0)  # the last step's |v|^2, all finite
+    prev_sq = np.empty(0)  # the last checked state's |v|^2, all finite
 
-    def visit(g, tab, i):
-        nonlocal active, prev_sq
+    def join(g, tab, i):
+        nonlocal active
         while active < len(cols) and starts[active] == g:
-            state[active] = sch.start(cols[active].u_init, tab, i, active)
+            # every row, so the boundary nodes, which steps never write, stay in place
+            buf[:, active] = sch.start(cols[active].u_init, tab, i, active)
             active += 1
-        v, u = sch.views(state[:active], tab, i, active)
-        v_sq = _l2_sq_rows(v, grid)
-        if not np.all(np.isfinite(v_sq)):
-            j = int(np.argmin(np.isfinite(v_sq)))
-            t0, k = cols[j].t_start, g - starts[j]
-            # a column that starts at g has no earlier state
-            last_sq, last_t = ((float(prev_sq[j]), t0 + dt * (k - 1)) if j < prev_sq.size
-                               else (None, None))
+
+    def check(g, m, tab, i):
+        nonlocal prev_sq
+        block, rows = buf[:m, :active], slice(i, i + m)
+        v = sch.v(block, tab, rows)
+        v_sq = _l2_sq_rows(v.reshape((-1,) + grid.shape), grid).reshape(m, active)
+        u = None if observe is None else sch.u(block, tab, rows)
+        # rows before a column's start hold its first state and are not checked
+        bad = ~np.isfinite(v_sq) & (g + np.arange(m)[:, None] >= np.array(starts[:active]))
+        if bad.any():
+            r, j = divmod(int(np.argmax(bad)), active)
+            t0, k = cols[j].t_start, g + r - starts[j]
+            # a column that starts at g + r has no earlier state
+            last_sq, last_t = ((float(v_sq[r - 1, j] if r else prev_sq[j]), t0 + dt * (k - 1))
+                               if k else (None, None))
+            if observe is not None and r:
+                observe(g, v[:r], u[:r], v_sq[:r])
             raise DivergenceError(t0 + dt * k, column=order[j], last_v_sq=last_sq, last_t=last_t)
         if observe is not None:
             observe(g, v, u, v_sq)
-        prev_sq = v_sq
-        return v, u
+        prev_sq = v_sq[-1]
 
     # window edges counted back from the common end
     edges = [0] + list(range(n_max, 0, -_WINDOW))[::-1]
     windows = list(zip(edges, edges[1:])) or [(0, 0)]
+    last = 0  # the buffer row of the latest state
     # overflow is an expected failure mode, caught by the finite check
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in windows:
-            tab = _tables(cols, starts, spec, dt, lo, hi, sum(s <= hi for s in starts))
-            for g in range(lo, hi):
-                u = visit(g, tab, g - lo)[1]
-                sch.step(state[:active], u, tab, g - lo, active)
-        v, u = visit(n_max, tab, n_max - lo)
+            tab = _tables(cols, starts, spec, dt, lo, hi)
+            if lo == 0:
+                join(0, tab, 0)
+                check(0, 1, tab, 0)
+            for g in range(lo, hi, len(buf)):
+                m = min(len(buf), hi - g)
+                for r in range(m):
+                    sch.step(buf[r - 1 if r else last, :active], buf[r, :active], tab,
+                             g + r - lo, active)
+                    join(g + r + 1, tab, g + r + 1 - lo)
+                check(g + 1, m, tab, g + 1 - lo)
+                last = m - 1
+        v, u = (f(buf[last:last + 1], tab, slice(n_max - lo, None))[0] for f in (sch.v, sch.u))
     back = np.argsort(order)
     return v[back], u[back]
 
@@ -394,12 +426,13 @@ def _record(scheme: type, u_init: Field, t_start: float, t_end: float, path: Wie
     gradv_sq = np.empty(n + 1)
     zsq_lp_p = np.empty(n + 1)
 
-    def observe(k, v, u, v_sq_k):
+    def observe(g, v, u, v_sq_k):
         # keep a zero-step call an exact identity (no z round trip)
-        u = u_init.values[None] if n == 0 else u
-        v_sq[k] = v_sq_k[0]
-        gradv_sq[k] = _h1_sq_rows(v, grid)[0]
-        zsq_lp_p[k] = _lp_p_rows(u, grid, spec.p, z_sq[k])[0]
+        u = u_init.values[None, None] if n == 0 else u
+        rows = slice(g, g + len(v))
+        v_sq[rows] = v_sq_k[:, 0]
+        gradv_sq[rows] = _h1_sq_rows(v[:, 0], grid)
+        zsq_lp_p[rows] = _lp_p_rows(u[:, 0], grid, spec.p, z_sq[rows])
 
     v_end, u_end = _integrate([col], spec, grid, dt, diffusion, scheme, observe)
     return TrajectoryRecord(

@@ -37,6 +37,7 @@ column = st.tuples(
 blocks = st.fixed_dictionaries({
     "dim": st.sampled_from([1, 2]),
     "window": st.integers(1, 40),
+    "chunk": st.sampled_from([17, 100, 512, 2048, solver._CHUNK]),
     "columns": st.lists(column, min_size=1, max_size=6),
 })
 
@@ -51,6 +52,11 @@ def _columns(grid, draws, scale=1.0):
     return out
 
 
+def _edges(block):
+    """Patch the table window and the chunk budget to the drawn sizes."""
+    return mock.patch.multiple(solver, _WINDOW=block["window"], _CHUNK=block["chunk"])
+
+
 def _single(grid, col, spec):
     """The same column as one solve_u_transform call (a K = 1 run of the core)."""
     return solve_u_transform(Field(grid, col.u_init), col.t_start, col.t_end, col.path,
@@ -62,8 +68,8 @@ def _single(grid, col, spec):
 def test_batch_columns_match_single_runs(block):
     grid = Grid(dim=block["dim"], half_width=4.0, n=17)
     cols = _columns(grid, block["columns"])
-    # small windows put table boundaries inside every run
-    with mock.patch.object(solver, "_WINDOW", block["window"]):
+    # small windows and chunks put table and chunk boundaries inside every run
+    with _edges(block):
         _, ends = _integrate(cols, SPEC, grid, DT)
         for j, col in enumerate(cols):
             single = _single(grid, col, SPEC).u_final.values
@@ -81,12 +87,13 @@ def test_batch_divergence_names_column(block, data):
     cols = _columns(grid, draws, scale=0.01)
     cols[bad] = dataclasses.replace(cols[bad], u_init=1e3 * cols[bad].u_init / 0.01)
     seen = []  # |v|^2 of the bad column at every step its K = 1 run finished
-    with mock.patch.object(solver, "_WINDOW", block["window"]):
+    with _edges(block):
         with pytest.raises(DivergenceError) as single:
             _single(grid, cols[bad], spec)
         with pytest.raises(DivergenceError):
             _integrate([cols[bad]], spec, grid, DT,
-                       observe=lambda k, v, u, v_sq: seen.append((k, float(v_sq[0]))))
+                       observe=lambda g, v, u, v_sq: seen.extend(
+                           (g + r, float(s)) for r, s in enumerate(v_sq[:, 0])))
         with pytest.raises(DivergenceError) as batch:
             _integrate(cols, spec, grid, DT)
     assert batch.value.column == bad

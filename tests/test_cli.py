@@ -313,12 +313,14 @@ def test_step_grid_mismatch_exits_2(tmp_path, capsys):
     ("periodicity", "eps_att = 0.5", "eps_att = 0", "experiment.eps_att"),
     ("sweep-alpha", "eps_semi = 0.5", "eps_semi = -1", "experiment.eps_semi"),
     ("attractor", "horizons = 1.0, 2.0", "horizons = 2.0", "experiment.horizons"),
+    ("simulate", "s_max = 4.0", "s_max = -1", "noise.s_max"),
 ], ids=["alpha", "family", "n", "lam", "delta", "m_samples", "c_abs", "s_trunc",
         "s_trunc-zero", "s_trunc-sweep", "h1-window", "seeds-empty", "alphas-empty",
         "tail_radius", "periodicity-zero-forcing", "periodicity-constant-forcing",
         "simulate-init_radius", "certify-init_radius", "attractor-init_radius",
         "attractor-ball_factor", "simulate-modes", "attractor-eps_att",
-        "periodicity-eps_att", "sweep-eps_semi", "attractor-one-depth"])
+        "periodicity-eps_att", "sweep-eps_semi", "attractor-one-depth",
+        "s_max-negative"])
 def test_invalid_value_exits_2(tmp_path, capsys, monkeypatch, command, old, new, named):
     text = SMALL.replace(old, new)
     assert text != SMALL

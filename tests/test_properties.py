@@ -1,9 +1,10 @@
-"""Property tests of exact invariants: block deviation, the block periodicity and cocycle
-checks, the 2-d sine solve, shift group law, field IO, the whole-step rule, the norm
-kernels, the weight cocycle and the sign of margins."""
+"""Property tests of exact invariants: block deviation, the record ledger, the block
+periodicity and cocycle checks, the 2-d sine solve, shift group law, field IO, the
+whole-step rule, the norm kernels, the weight cocycle and the sign of margins."""
 
 import os
 import tempfile
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -45,7 +46,8 @@ from stochrd import solver
 from stochrd.attractor import _dedup
 from stochrd.fields import _h1_sq_rows, _l2_distances, _l2_sq_rows, _lp_p_rows
 from stochrd.model import _memory_integral
-from stochrd.solver import _Column, _integrate, _SineFactor, _SparseFactor
+from stochrd.solver import (_Column, _Direct, _integrate, _record, _SineFactor,
+                           _SparseFactor, _Transform)
 from stochrd.wiener import _whole_steps
 
 DT = 1e-2
@@ -56,20 +58,22 @@ SPEC = canonical_cubic(alpha=0.5, forcing=periodic_bump_forcing(0.05))
 def _states(col, grid):
     """Every state of one K = 1 run of the core, in ledger order."""
     out = []
-    _integrate([col], SPEC, grid, DT, observe=lambda k, v, u, v_sq: out.append(u[0].copy()))
+    _integrate([col], SPEC, grid, DT, observe=lambda g, v, u, v_sq: out.extend(u[:, 0].copy()))
     return out
 
 
 @settings(max_examples=30, deadline=None)
 @given(dim=st.sampled_from([1, 2]), alpha=st.floats(0.0, 1.0), steps=st.integers(0, 60),
        tau=st.sampled_from([0.0, 0.3, -1.25]), window=st.integers(1, 40),
+       chunk=st.sampled_from([17, 100, 512, 2048, solver._CHUNK]),
        shape_seed=st.integers(0, 2**32 - 1))
-def test_deviation_block_matches_two_single_runs(dim, alpha, steps, tau, window, shape_seed):
+def test_deviation_block_matches_two_single_runs(dim, alpha, steps, tau, window, chunk,
+                                                 shape_seed):
     grid = Grid(dim=dim, half_width=4.0, n=17)
     rng = np.random.default_rng(shape_seed)
     u0 = Field(grid, rng.uniform(-1.0, 1.0, grid.shape))
     t = steps * DT
-    with mock.patch.object(solver, "_WINDOW", window):
+    with mock.patch.multiple(solver, _WINDOW=window, _CHUNK=chunk):
         rep = deviation_check(SPEC, alpha, tau, t, PATH, u0, DT)
         noisy, calm = (_states(_Column(u0.values, 0.0, t, PATH, a, tau), grid)
                        for a in (alpha, 0.0))
@@ -80,6 +84,38 @@ def test_deviation_block_matches_two_single_runs(dim, alpha, steps, tau, window,
     assert rep.eps_alpha == path_smallness(PATH, alpha, 0.0, t)
     if alpha == 0.0:
         assert rep.sup_dev_sq == 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.sampled_from([1, 2]), scheme=st.sampled_from([_Transform, _Direct]),
+       alpha=st.sampled_from([0.0, 0.3, 1.0]), steps=st.integers(0, 60),
+       window=st.integers(1, 40), chunk=st.sampled_from([17, 100, 512, 2048]),
+       shape_seed=st.integers(0, 2**32 - 1))
+def test_record_ledger_is_the_kernels_of_its_states(dim, scheme, alpha, steps, window, chunk,
+                                                    shape_seed):
+    grid = Grid(dim=dim, half_width=4.0, n=17)
+    # the boundary nodes too, which only the start writes and every later chunk must keep
+    raw = np.random.default_rng(shape_seed).uniform(-1.0, 1.0, grid.shape)
+    spec, t = SPEC.with_alpha(alpha), steps * DT
+    with mock.patch.multiple(solver, _WINDOW=window, _CHUNK=chunk):
+        rec = _record(scheme, SimpleNamespace(grid=grid, values=raw), 0.0, t, PATH, spec, DT,
+                      True, 0.3)
+    states = []  # (v, u) at every ledger index, one index per chunk
+    with mock.patch.multiple(solver, _WINDOW=window, _CHUNK=1):
+        _integrate([_Column(raw, 0.0, t, PATH, alpha, 0.3)], spec, grid, DT, scheme=scheme,
+                   observe=lambda g, v, u, v_sq: states.append((v[0, 0].copy(), u[0, 0].copy())))
+    v, u = (np.array(x) for x in zip(*states))
+    assert len(v) == steps + 1
+    if steps == 0:  # a zero-step record returns u_init itself, with no z round trip
+        u = raw[None]
+        assert np.array_equal(rec.u_final.values, Field(grid, raw).values)
+    else:
+        assert np.array_equal(rec.u_final.values, Field(grid, u[-1]).values)
+    assert np.array_equal(rec.v_final, v[-1])
+    assert np.array_equal(rec.v_sq, [_l2_sq_rows(s[None], grid)[0] for s in v])
+    assert np.array_equal(rec.gradv_sq, [_h1_sq_rows(s[None], grid)[0] for s in v])
+    assert np.array_equal(rec.zsq_lp_p, [_lp_p_rows(s[None], grid, spec.p, w)[0]
+                                         for s, w in zip(u, rec.z_sq)])
 
 
 # -- the two-anchor periodicity block and the two-column cocycle blocks --------------
