@@ -183,13 +183,16 @@ def _require_steps(name: str, span: float, step: float, step_name: str = "time.d
         raise ConfigError(f"{exc} ({step_name})") from None
 
 
-def _sample_path(config: ExperimentConfig, seed: int, span: float):
-    """The noise path over [-span, span]; span must be whole steps of dt."""
+def _sample_path(config: ExperimentConfig, seed: int, span: float, needed: float):
+    """The noise path over [-span, span]; span must be whole steps of dt and cover needed."""
+    if span < needed:  # only a set noise.s_max can fall short of the default span
+        raise ConfigError(f"noise.s_max = {config.s_max!r} gives a path over [-{span:g}, "
+                          f"{span:g}]; this command needs [-{needed:g}, {needed:g}]")
     _require_steps("the path span", span, config.dt)
     return sample_two_sided_path(seed, span, config.dt)
 
 
-def _require_pullback(config: ExperimentConfig) -> None:
+def _require_pullback(config: ExperimentConfig) -> float:
     """Two or more positive increasing whole-step horizons, members and a positive eps_att."""
     horizons = list(config.horizons)
     if len(horizons) < 2 or horizons[0] <= 0 or sorted(horizons) != horizons:
@@ -200,6 +203,8 @@ def _require_pullback(config: ExperimentConfig) -> None:
         raise ConfigError(f"experiment.m_samples = {config.m_samples!r} must be >= 1")
     if not config.eps_att > 0:
         raise ConfigError(f"experiment.eps_att = {config.eps_att!r} must be positive")
+    # how far back the pullback, and the absorbing-ball radii, read the path
+    return horizons[-1] + (config.s_trunc if config.family == "absorbing-ball" else 0.0)
 
 
 def _number(text: str) -> float:
@@ -330,7 +335,7 @@ def _run_record(config: ExperimentConfig, seed: int, out_dir: str):
     grid = config.build_grid()
     _require_steps("time.t_final", config.t_final, config.dt)
     family = _initial_family(config)
-    path = _sample_path(config, seed, config.path_span())
+    path = _sample_path(config, seed, config.path_span(), config.t_final)
     u0 = sample_initial(family, grid, family.radius,
                         np.random.default_rng(np.random.SeedSequence((seed, 0, 0))))
     query = CocycleQuery(config.t_final, config.tau, path, u0, config.alpha)
@@ -371,9 +376,9 @@ def _cmd_certify(config: ExperimentConfig, out_dir: str, seed: int, threads: int
 def _cmd_attractor(config: ExperimentConfig, out_dir: str, seed: int, threads: int) -> int:
     spec = config.build_spec()
     grid = config.build_grid()
-    _require_pullback(config)
+    needed = _require_pullback(config)
     family, absorbing = config.build_family(), config.build_absorbing()
-    path = _sample_path(config, seed, config.path_span())
+    path = _sample_path(config, seed, config.path_span(), needed)
     approx = pullback_ensemble(
         tau=config.tau, path=path, alpha=config.alpha, spec=spec, grid=grid,
         horizons=config.horizons, m_samples=config.m_samples, family=family,
@@ -392,9 +397,9 @@ def _cmd_periodicity(config: ExperimentConfig, out_dir: str, seed: int, threads:
         raise ConfigError(f"model.forcing = {config.forcing!r} has no period; "
                           "periodicity needs periodic-bump")
     grid = config.build_grid()
-    _require_pullback(config)
+    needed = _require_pullback(config)
     family, absorbing = config.build_family(), config.build_absorbing()
-    path = _sample_path(config, seed, config.path_span() + config.forcing_period)
+    path = _sample_path(config, seed, config.path_span() + config.forcing_period, needed)
     dist, a, b = attractor_periodicity_check(
         spec, config.tau, path, config.alpha, grid, config.horizons, config.m_samples,
         family, absorbing, dt=config.dt, eps_att=config.eps_att, seed=seed, workers=threads,

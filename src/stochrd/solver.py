@@ -26,20 +26,24 @@ forcing profile; each has its own initial state, step count, path
 weights and forcing clock.  Columns end together: the longest run
 starts first and shorter ones join the active prefix of the block when
 their remaining step count is reached, so a column costs nothing
-before it starts.  Per step, the implicit solve is one call for the
-whole active block: the LAPACK tridiagonal LDL^T factorization
-(dpttrf, prefactored and cached) and dpttrs on the (n - 2, K) Fortran
-view in 1-d, one type-I sine transform pair over the field axes of the
-(K, n - 2, n - 2) block in 2-d, where the operator is diagonal.  No
-column's arithmetic depends on another column, so column j of a block
-equals a K = 1 run bit for bit.  Weights and forcing amplitudes are
-tabulated per column in windows of _WINDOW steps counted back from the
-common end, so the tables stay small at any horizon and a column sees
-the same windows alone as in a block.  The direct route keeps the
-solves it was validated with, banded Cholesky in 1-d and sparse LU in
-2-d: the oracle's arithmetic does not move with the production solver,
-and the two routes share no solver.  Each scheme names its factor per
-dimension in its `factors` pair.
+before it starts.  A scheme binds its step once per table window and
+again when a column joins: one coefficient row per step (a float for
+one column, an (a, 1[, 1]) view for a > 1), so a step is a few in-place
+ufunc calls, the reaction and one solve for the whole active block.  In
+1-d that is LAPACK dpttrs (dpttrf prefactored and cached) in place on a
+C-ordered (K, n - 2) block, whose transpose is the Fortran layout; in
+2-d one type-I sine transform pair on the interior of the single
+(K, n, n) work block, which holds u = v / z and then the whole
+right-hand side (more blocks of that size, or ufuncs on its strided
+interior, slowed 2-d runs).  No column's arithmetic depends on
+another, so column j of a block equals a K = 1 run bit for bit.
+Weights and forcing amplitudes are tabulated per column in windows of
+_WINDOW steps counted back from the common end, so the tables stay
+small at any horizon and a column sees the same windows alone as in a
+block.  The direct route keeps the solves it was validated with, banded
+Cholesky in 1-d and sparse LU in 2-d, and shares no solver with the
+transform route; each scheme names its factor per dimension in its
+`factors` pair.
 
 Steps write a buffer of consecutive states (at most _CHUNK floats, never
 across a table window); the finite check and the observe hook of
@@ -83,15 +87,14 @@ class _TridiagonalFactor:
     def __init__(self, grid: Grid, lam: float, dt: float):
         m = grid.n - 2
         r = dt / grid.h**2
-        d, e, info = dpttrf(np.full(m, 1.0 + dt * lam + 2.0 * r), np.full(m - 1, -r))
+        # the f2py wrapper wants one off-diagonal entry even at m = 1, where LAPACK reads none
+        d, e, info = dpttrf(np.full(m, 1.0 + dt * lam + 2.0 * r), np.full(max(m - 1, 1), -r))
         if info != 0:
             raise np.linalg.LinAlgError(f"dpttrf failed with info={info}")
         self._d, self._e = d, e
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        # the transpose of a C-ordered (K, m) copy is the Fortran (m, K)
-        # layout dpttrs overwrites in place
-        x, info = dpttrs(self._d, self._e, np.array(rhs).T, overwrite_b=True)
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x, info = dpttrs(self._d, self._e, b.T, overwrite_b=True)
         if info != 0:
             raise np.linalg.LinAlgError(f"dpttrs failed with info={info}")
         return x.T
@@ -108,8 +111,8 @@ class _BandedFactor:
         ab[1, :] = 1.0 + dt * lam + 2.0 * r
         self._cb = cholesky_banded(ab)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x, info = dpbtrs(self._cb, np.array(rhs).T, lower=0, overwrite_b=True)
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x, info = dpbtrs(self._cb, b.T, lower=0, overwrite_b=True)
         if info != 0:
             raise np.linalg.LinAlgError(f"dpbtrs failed with info={info}")
         return x.T
@@ -263,7 +266,8 @@ def _tables(cols, starts, spec: ModelSpec, dt: float, lo: int, hi: int):
 
 
 class _Scheme:
-    """One IMEX step (reaction, forcing, implicit solve) and the v, u views of its states."""
+    """One IMEX step (reaction, forcing, implicit solve) and the v, u views of its states;
+    bind(tab, a) returns step(src, dst, i): row i + 1 of the first a columns from row i."""
 
     #: implicit factor per dimension, 1-d then 2-d
     factors: tuple = (_TridiagonalFactor, _SineFactor)
@@ -272,26 +276,33 @@ class _Scheme:
         self.dt = dt
         self.f = spec.f
         self.x = grid.coords()
-        self.profile = None if spec.g.is_zero() else spec.g.profile.on_grid(grid)
-        self.factor = _implicit_factor(grid, spec.lam, dt, diffusion, self.factors)
-        self.alphas = alphas
-        # a step's u = v / z and rhs: fresh blocks per step let glibc trim and refault in 2-d
+        self.inner = (slice(None),) + (slice(1, -1),) * grid.dim
+        factor = _implicit_factor(grid, spec.lam, dt, diffusion, self.factors)
+        self.alphas, self.solve = alphas, factor.solve
+        # one preallocated block for a step's u = v / z and, in 2-d, its right-hand side:
+        # fresh blocks per step let glibc trim and refault, more of them slowed 2-d runs
         self.work = np.empty((len(alphas),) + grid.shape)
+        # A step writes the `nodes` of its right-hand side to rhs and solves rhs[unknowns]:
+        # the interior to a C-ordered (K, n - 2) block, whose transpose is the Fortran layout
+        # dpttrs and dpbtrs solve in place, else all of the work block, where its ufuncs run
+        # 4-5x faster in 2-d than on the strided interior view
+        if isinstance(factor, (_TridiagonalFactor, _BandedFactor)):
+            block = np.empty((len(alphas), grid.n - 2))
+            self.rhs, self.nodes, self.unknowns = block, self.inner, (...,)
+        else:
+            self.rhs, self.nodes, self.unknowns = self.work, (...,), self.inner
+        self.profile = None if spec.g.is_zero() else spec.g.profile.on_grid(grid)[self.nodes[1:]]
         # broadcast one scalar per column over the field axes
         self.col = (Ellipsis,) + (None,) * grid.dim
-        self.inner = (slice(None),) + (slice(1, -1),) * grid.dim
 
     def v(self, block, tab, rows):  # a (rows, K, ...) block at table rows `rows`
         return block
 
     u = v
 
-    def _force(self, rhs, coeff):
-        if self.profile is not None:
-            rhs += coeff[self.col] * self.profile
-
-    def _solve(self, dst, rhs):
-        dst[self.inner] = self.factor.solve(rhs[self.inner])
+    def rows(self, table, a):
+        """Per-step coefficients of the first a columns: floats for one, else broadcast views."""
+        return table[:, 0].tolist() if a == 1 else list(table[:, :a][self.col])
 
 
 class _Transform(_Scheme):
@@ -305,12 +316,21 @@ class _Transform(_Scheme):
     def u(self, block, tab, rows):
         return tab.zinv[rows, :block.shape[1]][self.col] * block
 
-    def step(self, src, dst, tab, i, a):
-        u = np.multiply(tab.zinv[i, :a][self.col], src, out=self.work[:a])
-        rhs = np.multiply(tab.dz[i, :a][self.col], self.f.value(self.x, u), out=self.work[:a])
-        rhs += src
-        self._force(rhs, tab.dza[i, :a])
-        self._solve(dst, rhs)
+    def bind(self, tab, a):
+        zinv, dz, dza = (self.rows(c, a) for c in (tab.zinv, tab.dz, tab.dza))
+        work, rhs, nodes, inner = self.work[:a], self.rhs[:a], self.nodes, self.inner
+        explicit, b, profile = work[nodes], rhs[self.unknowns], self.profile
+        value, x, solve = self.f.value, self.x, self.solve
+
+        def step(src, dst, i):
+            u = np.multiply(zinv[i], src, out=work)
+            np.multiply(dz[i], value(x, u), out=work)
+            np.add(explicit, src[nodes], out=rhs)
+            if profile is not None:
+                np.add(rhs, dza[i] * profile, out=rhs)
+            dst[inner] = solve(b)
+
+        return step
 
 
 class _Direct(_Scheme):
@@ -325,14 +345,22 @@ class _Direct(_Scheme):
     def v(self, block, tab, rows):
         return tab.z[rows, :block.shape[1]][self.col] * block
 
-    def step(self, u, dst, tab, i, a):
-        alpha = self.alphas[:a]
-        dw = tab.omega[i + 1, :a] - tab.omega[i, :a]
-        ubar = u + (alpha * dw)[self.col] * u
-        rhs = np.add(u, self.dt * self.f.value(self.x, u), out=self.work[:a])
-        rhs += (0.5 * alpha * dw)[self.col] * (u + ubar)
-        self._force(rhs, tab.dta[i, :a])
-        self._solve(dst, rhs)
+    def bind(self, tab, a):
+        alphas, dw = self.alphas, tab.omega[1:] - tab.omega[:-1]
+        adw, hdw, dta = (self.rows(c, a) for c in (alphas * dw, 0.5 * alphas * dw, tab.dta))
+        rhs, nodes, inner, profile = self.rhs[:a], self.nodes, self.inner, self.profile
+        b, value, x, solve = rhs[self.unknowns], self.f.value, self.x, self.solve
+
+        def step(u, dst, i):
+            u_in = u[nodes]
+            ubar = u_in + adw[i] * u_in
+            np.add(u_in, (self.dt * value(x, u))[nodes], out=rhs)
+            np.add(rhs, hdw[i] * (u_in + ubar), out=rhs)
+            if profile is not None:
+                np.add(rhs, dta[i] * profile, out=rhs)
+            dst[inner] = solve(b)
+
+        return step
 
 
 def _integrate(columns, spec: ModelSpec, grid: Grid, dt: float, diffusion: bool = True,
@@ -351,7 +379,7 @@ def _integrate(columns, spec: ModelSpec, grid: Grid, dt: float, diffusion: bool 
     order = sorted(range(len(columns)), key=lambda j: -ns[j])
     cols = [columns[j] for j in order]
     n_max = ns[order[0]]
-    starts = [n_max - ns[j] for j in order]
+    starts = [n_max - ns[j] for j in order] + [n_max + 1]  # one past the end: all joined
     sch = scheme(spec, grid, dt, diffusion, np.array([c.alpha for c in cols]))
     # buffer row r holds the state at ledger index g + r of the current chunk
     buf = np.zeros((max(1, min(_WINDOW, _CHUNK // sch.work.size)),) + sch.work.shape)
@@ -360,7 +388,7 @@ def _integrate(columns, spec: ModelSpec, grid: Grid, dt: float, diffusion: bool 
 
     def join(g, tab, i):
         nonlocal active
-        while active < len(cols) and starts[active] == g:
+        while starts[active] == g:
             # every row, so the boundary nodes, which steps never write, stay in place
             buf[:, active] = sch.start(cols[active].u_init, tab, i, active)
             active += 1
@@ -397,12 +425,14 @@ def _integrate(columns, spec: ModelSpec, grid: Grid, dt: float, diffusion: bool 
             if lo == 0:
                 join(0, tab, 0)
                 check(0, 1, tab, 0)
+            step = sch.bind(tab, active)  # and again whenever the active prefix grows
             for g in range(lo, hi, len(buf)):
                 m = min(len(buf), hi - g)
                 for r in range(m):
-                    sch.step(buf[r - 1 if r else last, :active], buf[r, :active], tab,
-                             g + r - lo, active)
-                    join(g + r + 1, tab, g + r + 1 - lo)
+                    step(buf[r - 1 if r else last, :active], buf[r, :active], g + r - lo)
+                    if g + r + 1 == starts[active]:
+                        join(g + r + 1, tab, g + r + 1 - lo)
+                        step = sch.bind(tab, active)
                 check(g + 1, m, tab, g + 1 - lo)
                 last = m - 1
         v, u = (f(buf[last:last + 1], tab, slice(n_max - lo, None))[0] for f in (sch.v, sch.u))

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochrd import (
+    ZERO_FORCING,
     DivergenceError,
     Field,
     Grid,
@@ -39,7 +40,24 @@ blocks = st.fixed_dictionaries({
     "window": st.integers(1, 40),
     "chunk": st.sampled_from([17, 100, 512, 2048, solver._CHUNK]),
     "columns": st.lists(column, min_size=1, max_size=6),
+    "reaction": st.sampled_from(["cubic", "anticubic", "zero", "custom"]),
+    "forcing": st.sampled_from([SPEC.g, ZERO_FORCING]),
 })
+
+
+def _custom_reaction(x, s):
+    return np.sin(s) - s * s * s
+
+
+def _spec(block):
+    """SPEC with the drawn reaction and forcing."""
+    fn = _custom_reaction if block["reaction"] == "custom" else None
+    return dataclasses.replace(SPEC, f=Nonlinearity(block["reaction"], fn), g=block["forcing"])
+
+
+def _scale(block):
+    """Initial amplitudes small enough that +u^3 does not blow up within the run."""
+    return 0.05 if block["reaction"] == "anticubic" else 1.0
 
 
 def _columns(grid, draws, scale=1.0):
@@ -66,14 +84,59 @@ def _single(grid, col, spec):
 @settings(max_examples=30, deadline=None)
 @given(blocks)
 def test_batch_columns_match_single_runs(block):
+    # a block steps with per-column views, a single run with floats
     grid = Grid(dim=block["dim"], half_width=4.0, n=17)
-    cols = _columns(grid, block["columns"])
+    spec = _spec(block)
+    cols = _columns(grid, block["columns"], _scale(block))
     # small windows and chunks put table and chunk boundaries inside every run
     with _edges(block):
-        _, ends = _integrate(cols, SPEC, grid, DT)
+        _, ends = _integrate(cols, spec, grid, DT)
         for j, col in enumerate(cols):
-            single = _single(grid, col, SPEC).u_final.values
+            single = _single(grid, col, spec).u_final.values
             assert np.array_equal(ends[j], single), f"column {j}"
+
+
+def _reference(col, spec, grid, scheme):
+    """One column stepped by the plain formula with the core's implicit factor; final (v, u)."""
+    factor = solver._implicit_factor(grid, spec.lam, DT, True, scheme.factors)
+    n = round((col.t_end - col.t_start) / DT)
+    times = col.t_start + DT * np.arange(n + 1)
+    omega = col.path.value_at(times)
+    amp = spec.g.amplitude * spec.g.modulation_at(times + col.forcing_offset)
+    z, zinv = np.exp(-col.alpha * omega), np.exp(col.alpha * omega)
+    profile = spec.g.profile.on_grid(grid)
+    x, inner = grid.coords(), (slice(None),) + (slice(1, -1),) * grid.dim
+    transform = scheme is solver._Transform
+    s = (z[0] * col.u_init if transform else col.u_init)[None]
+    for k in range(n):
+        if transform:
+            rhs = (DT * z[k]) * spec.f.value(x, zinv[k] * s) + s
+            coeff = (DT * z[k]) * amp[k]
+        else:
+            dw = omega[k + 1] - omega[k]
+            ubar = s + (col.alpha * dw) * s
+            rhs = s + DT * spec.f.value(x, s) + (0.5 * col.alpha * dw) * (s + ubar)
+            coeff = DT * amp[k]
+        if not spec.g.is_zero():
+            rhs = rhs + coeff * profile
+        s = s.copy()  # boundary nodes stay in place
+        s[inner] = factor.solve(np.array(rhs[inner]))
+    return (s[0], zinv[n] * s[0]) if transform else (z[n] * s[0], s[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(blocks, st.sampled_from([solver._Transform, solver._Direct]))
+def test_block_steps_match_the_reference_step(block, scheme):
+    # up to four columns of up to twelve steps, with nonzero boundary values
+    grid = Grid(dim=block["dim"], half_width=4.0, n=17)
+    spec = _spec(block)
+    draws = [(steps % 13, *rest) for steps, *rest in block["columns"][:4]]
+    cols = _columns(grid, draws, _scale(block))
+    with _edges(block):
+        v, u = _integrate(cols, spec, grid, DT, scheme=scheme)
+    for j, col in enumerate(cols):
+        want_v, want_u = _reference(col, spec, grid, scheme)
+        assert np.array_equal(v[j], want_v) and np.array_equal(u[j], want_u), f"column {j}"
 
 
 @settings(max_examples=20, deadline=None)

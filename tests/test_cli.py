@@ -314,13 +314,22 @@ def test_step_grid_mismatch_exits_2(tmp_path, capsys):
     ("sweep-alpha", "eps_semi = 0.5", "eps_semi = -1", "experiment.eps_semi"),
     ("attractor", "horizons = 1.0, 2.0", "horizons = 2.0", "experiment.horizons"),
     ("simulate", "s_max = 4.0", "s_max = -1", "noise.s_max"),
+    # a set s_max must cover the span the command reads: t_final, or the deepest
+    # horizon (plus the period the periodicity command adds to the path)
+    ("simulate", "s_max = 4.0", "s_max = 0.5",
+     "noise.s_max = 0.5 gives a path over [-0.5, 0.5]; this command needs [-1, 1]"),
+    ("attractor", "s_max = 4.0", "s_max = 1.5",
+     "noise.s_max = 1.5 gives a path over [-1.5, 1.5]; this command needs [-2, 2]"),
+    ("periodicity", "s_max = 4.0", "s_max = 0.5",
+     "noise.s_max = 0.5 gives a path over [-1.5, 1.5]; this command needs [-2, 2]"),
 ], ids=["alpha", "family", "n", "lam", "delta", "m_samples", "c_abs", "s_trunc",
         "s_trunc-zero", "s_trunc-sweep", "h1-window", "seeds-empty", "alphas-empty",
         "tail_radius", "periodicity-zero-forcing", "periodicity-constant-forcing",
         "simulate-init_radius", "certify-init_radius", "attractor-init_radius",
         "attractor-ball_factor", "simulate-modes", "attractor-eps_att",
         "periodicity-eps_att", "sweep-eps_semi", "attractor-one-depth",
-        "s_max-negative"])
+        "s_max-negative", "s_max-short-simulate", "s_max-short-attractor",
+        "s_max-short-periodicity"])
 def test_invalid_value_exits_2(tmp_path, capsys, monkeypatch, command, old, new, named):
     text = SMALL.replace(old, new)
     assert text != SMALL

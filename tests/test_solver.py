@@ -277,6 +277,33 @@ def test_direct_route_matches_plain_loop_bit_for_bit():
     assert np.array_equal(rec.u_final.values, _direct_reference(u0, 1.5, p, spec, 1e-3))
 
 
+@pytest.mark.parametrize("solve", [solve_u_transform, solve_u_direct])
+def test_three_node_grid_is_the_one_node_recursion(solve):
+    # n = 3 leaves one interior node, where the implicit solve is a division
+    grid = Grid(dim=1, half_width=1.0, n=3)
+    spec = canonical_cubic(alpha=0.5, forcing=periodic_bump_forcing(0.05))
+    dt, steps, u0 = 1e-2, 150, 0.8
+    p = sample_two_sided_path(5, 2.0, dt)
+    rec = solve(Field(grid, np.array([0.0, u0, 0.0])), 0.0, steps * dt, p, spec, dt)
+    t = dt * np.arange(steps + 1)
+    w = p.value_at(t)
+    z = np.exp(-spec.alpha * w)
+    g = spec.g.amplitude * spec.g.modulation_at(t) * spec.g.profile.eval_radius(0.0)
+    c = 1.0 + dt * spec.lam + 2.0 * dt / grid.h**2
+    if solve is solve_u_transform:
+        v = z[0] * u0
+        for k in range(steps):
+            v = (v + dt * z[k] * -(v / z[k]) ** 3 + dt * z[k] * g[k]) / c
+        assert rec.v_final[1] == pytest.approx(v, rel=1e-12)
+    else:
+        u = u0
+        for k in range(steps):
+            adw = spec.alpha * (w[k + 1] - w[k])
+            u = (u + dt * -u**3 + 0.5 * adw * (u + (u + adw * u)) + dt * g[k]) / c
+        assert rec.u_final.values[1] == pytest.approx(u, rel=1e-12)
+    assert rec.u_final.values[0] == rec.u_final.values[2] == 0.0
+
+
 def test_direct_ledger_uses_transformed_state():
     spec = canonical_cubic(alpha=0.7)
     p = sample_two_sided_path(9, 1.0, 1e-3)
