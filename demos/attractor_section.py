@@ -7,8 +7,6 @@ Horizons here are shortened so the script runs in seconds; the
 acceptance suite runs the full ladder.
 """
 
-import numpy as np
-
 from stochrd import (
     AbsorbingSpec,
     Grid,

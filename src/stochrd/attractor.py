@@ -422,6 +422,17 @@ class CalibrationConfig:
     dt: float = 1e-3
     modes: int = 8
 
+    def __post_init__(self):
+        if not self.seeds:
+            raise ValueError("seeds must not be empty")
+        if not (self.alphas and all(0.0 <= a <= 1.0 for a in self.alphas)):
+            raise ValueError(f"alphas = {self.alphas!r} must be non-empty and lie in [0, 1]")
+        if not self.m_samples >= 1:
+            raise ValueError(f"m_samples = {self.m_samples!r} must be >= 1")
+        for name in ("c_floor", "safety"):  # c = 0 never climbs the sqrt(2) ladder
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} = {getattr(self, name)!r} must be positive")
+
 
 def calibrate_c(spec: ModelSpec, grid: Grid, config: CalibrationConfig | None = None) -> float:
     """Smallest grid constant absorbing a reference ensemble, doubled.
@@ -495,12 +506,8 @@ def tail_uniformity_report(approxes: dict, radii: Sequence[float],
         a: {repr(k): ap.max_tail(k) for k in radii} for a, ap in approxes.items()
     }
     uniform = {k: max(per_alpha[a][repr(k)] for a in per_alpha) for k in radii}
-    smallest = None
-    if target is not None:
-        for k in sorted(radii):
-            if uniform[k] <= target:
-                smallest = k
-                break
+    smallest = None if target is None else next(
+        (k for k in sorted(radii) if uniform[k] <= target), None)
     return TailReport(
         radii=radii, per_alpha=per_alpha,
         uniform_max={k: uniform[k] for k in radii},

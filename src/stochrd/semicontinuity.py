@@ -103,14 +103,15 @@ def uniform_bound_check(tau: float, path: WienerPath, alphas: Sequence[float],
                         grid: Grid) -> CertificateReport:
     """Domination M_alpha <= R on shared nodes and |M_alpha - M_0| decay.
 
-    alphas must decrease strictly.  Passing requires every domination
-    margin R - M_alpha to be nonnegative (zero tolerance: the integrand
-    inequality holds node by node) and the gaps |M_alpha - M_0| to
-    decrease strictly along the list.
+    alphas must be a non-empty, strictly decreasing ladder in [0, 1], where R
+    dominates every M_alpha.  Passing requires every domination margin R - M_alpha
+    to be nonnegative (zero tolerance: the integrand inequality holds node by node)
+    and the gaps |M_alpha - M_0| to decrease strictly along the list.
     """
     alphas = [float(a) for a in alphas]
-    if sorted(alphas, reverse=True) != alphas or len(set(alphas)) != len(alphas):
-        raise ValueError("alphas must decrease strictly")
+    if not (alphas and alphas[-1] >= 0.0 and alphas[0] <= 1.0
+            and all(a > b for a, b in zip(alphas, alphas[1:]))):
+        raise ValueError("alphas must be a non-empty, strictly decreasing ladder in [0, 1]")
     m0 = deterministic_radius(tau, spec, absorbing, grid)
     r = uniform_radius(tau, path, spec, absorbing, grid)
     margins = {}

@@ -47,11 +47,12 @@ transform route; each scheme names its factor per dimension in its
 
 Steps write a buffer of consecutive states (at most _CHUNK floats, never
 across a table window); the finite check and the observe hook of
-_integrate run once per buffer, one row-kernel call per quantity, and a
-single run observes the per-step ledger of its TrajectoryRecord (|v|^2,
-|grad v|^2, z^2 |u|_p^p, z^2, |g|^2) for the energy and gradient
-certificates.  A non-finite state aborts integration with DivergenceError
-naming the first bad time, the column and its last finite |v|^2 and time.
+_integrate run once per buffer, one row-kernel call per quantity.  Every
+record, a single run's too, is one _records block whose one observer
+fills the per-step ledgers (|v|^2, |grad v|^2, z^2 |u|_p^p, z^2, |g|^2)
+for the energy and gradient certificates.  A non-finite state aborts
+integration with DivergenceError naming the first bad time, the column
+and its last finite |v|^2 and time.
 """
 
 from __future__ import annotations
@@ -163,20 +164,8 @@ class _SineFactor:
         return self._idstn(coef, type=1, axes=axes, overwrite_x=True)
 
 
-class _ScalarFactor:
-    """Diffusion disabled: the implicit solve is a scalar division."""
-
-    def __init__(self, lam: float, dt: float):
-        self._c = 1.0 + dt * lam
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return rhs / self._c
-
-
 @lru_cache(maxsize=64)
-def _implicit_factor(grid: Grid, lam: float, dt: float, diffusion: bool, factors: tuple):
-    if not diffusion:
-        return _ScalarFactor(lam, dt)
+def _implicit_factor(grid: Grid, lam: float, dt: float, factors: tuple):
     return factors[grid.dim - 1](grid, lam, dt)
 
 
@@ -207,12 +196,6 @@ class TrajectoryRecord:
     @property
     def t_end(self) -> float:
         return float(self.times[-1])
-
-
-def _n_steps(t_start: float, t_end: float, dt: float) -> int:
-    if t_end < t_start:
-        raise ValueError("t_end must be >= t_start")
-    return _whole_steps(t_end - t_start, dt, "t_end - t_start")
 
 
 # -- the integrator core -----------------------------------------------------
@@ -272,12 +255,12 @@ class _Scheme:
     #: implicit factor per dimension, 1-d then 2-d
     factors: tuple = (_TridiagonalFactor, _SineFactor)
 
-    def __init__(self, spec: ModelSpec, grid: Grid, dt: float, diffusion: bool, alphas):
+    def __init__(self, spec: ModelSpec, grid: Grid, dt: float, alphas):
         self.dt = dt
         self.f = spec.f
         self.x = grid.coords()
         self.inner = (slice(None),) + (slice(1, -1),) * grid.dim
-        factor = _implicit_factor(grid, spec.lam, dt, diffusion, self.factors)
+        factor = _implicit_factor(grid, spec.lam, dt, self.factors)
         self.alphas, self.solve = alphas, factor.solve
         # one preallocated block for a step's u = v / z and, in 2-d, its right-hand side:
         # fresh blocks per step let glibc trim and refault, more of them slowed 2-d runs
@@ -363,24 +346,31 @@ class _Direct(_Scheme):
         return step
 
 
-def _integrate(columns, spec: ModelSpec, grid: Grid, dt: float, diffusion: bool = True,
-               scheme: type = _Transform, observe=None):
+def _block_order(columns, dt: float):
+    """Step counts in input order and the block order: decreasing step count, ties kept."""
+    if any(c.t_end < c.t_start for c in columns):
+        raise ValueError("t_end must be >= t_start")
+    ns = [_whole_steps(c.t_end - c.t_start, dt, "t_end - t_start") for c in columns]
+    return ns, sorted(range(len(columns)), key=lambda j: -ns[j])
+
+
+def _integrate(columns, spec: ModelSpec, grid: Grid, dt: float, scheme: type = _Transform,
+               observe=None):
     """Advance a block of columns to their common end.
 
     Returns the final (v, u) blocks, one row per column in input order.
     Each column carries its own intensity; spec.alpha is not read.
-    Columns are ordered by decreasing step count and the integration
-    works on the active prefix of the block.  The finite check and observe(g, v, u,
-    v_sq), when given, run once per chunk of states, on (rows, K, ...) blocks from
-    ledger index g where a column that has not started holds its first state.
-    Before a DivergenceError, observe sees the finite prefix.
+    Columns are put in _block_order and the integration works on the active prefix of
+    the block.  The finite check and observe(g, v, u, v_sq), when given, run once per
+    chunk of states, on (rows, K, ...) blocks in block order from ledger index g, where
+    a column that has not started holds its first state.  Before a DivergenceError,
+    observe sees the finite prefix.
     """
-    ns = [_n_steps(c.t_start, c.t_end, dt) for c in columns]
-    order = sorted(range(len(columns)), key=lambda j: -ns[j])
+    ns, order = _block_order(columns, dt)
     cols = [columns[j] for j in order]
     n_max = ns[order[0]]
     starts = [n_max - ns[j] for j in order] + [n_max + 1]  # one past the end: all joined
-    sch = scheme(spec, grid, dt, diffusion, np.array([c.alpha for c in cols]))
+    sch = scheme(spec, grid, dt, np.array([c.alpha for c in cols]))
     # buffer row r holds the state at ledger index g + r of the current chunk
     buf = np.zeros((max(1, min(_WINDOW, _CHUNK // sch.work.size)),) + sch.work.shape)
     active = 0
@@ -440,36 +430,38 @@ def _integrate(columns, spec: ModelSpec, grid: Grid, dt: float, diffusion: bool 
     return v[back], u[back]
 
 
-def _record(scheme: type, u_init: Field, t_start: float, t_end: float, path: WienerPath,
-            spec: ModelSpec, dt: float, diffusion: bool,
-            forcing_offset: float) -> TrajectoryRecord:
-    """One trajectory through the core (K = 1) with the full ledger."""
-    grid = u_init.grid
-    n = _n_steps(t_start, t_end, dt)
-    col = _Column(u_init.values, t_start, t_end, path, spec.alpha, forcing_offset)
-    times, omega, amp = _series(col, spec, dt, 0, n)
+def _records(scheme: type, columns, spec: ModelSpec, grid: Grid, dt: float) -> list:
+    """The columns as one core block, one TrajectoryRecord each in input order; one
+    (4, K, n_max + 1) ledger in block order holds every column's |v|^2, |grad v|^2,
+    z^2 |u|_p^p and z^2, each ending at n_max, so these arrays of a record are row views."""
+    ns, order = _block_order(columns, dt)
+    n_max = ns[order[0]]
     prof_sq = 0.0 if spec.g.is_zero() else _profile_norm_sq(spec.g.profile, grid)
-    z = np.exp(-spec.alpha * omega)
-    z_sq = z * z
-    g_sq = amp * amp * prof_sq
-    v_sq = np.empty(n + 1)
-    gradv_sq = np.empty(n + 1)
-    zsq_lp_p = np.empty(n + 1)
+    ledger, series = np.zeros((4, len(columns), n_max + 1)), {}
+    for j, i in enumerate(order):
+        times, omega, amp = _series(columns[i], spec, dt, 0, ns[i])
+        ledger[3, j, n_max - ns[i]:] = np.square(np.exp(-columns[i].alpha * omega))  # z^2
+        series[i] = times, amp * amp * prof_sq
 
-    def observe(g, v, u, v_sq_k):
-        # keep a zero-step call an exact identity (no z round trip)
-        u = u_init.values[None, None] if n == 0 else u
-        rows = slice(g, g + len(v))
-        v_sq[rows] = v_sq_k[:, 0]
-        gradv_sq[rows] = _h1_sq_rows(v[:, 0], grid)
-        zsq_lp_p[rows] = _lp_p_rows(u[:, 0], grid, spec.p, z_sq[rows])
+    def observe(g, v, u, v_sq):
+        m, a = v_sq.shape
+        at, kernel_rows = (slice(None, a), slice(g, g + m)), (m * a,) + grid.shape
+        ledger[0][at] = v_sq.T
+        ledger[1][at] = _h1_sq_rows(v.reshape(kernel_rows), grid).reshape(m, a).T
+        ledger[2][at] = _lp_p_rows(u.reshape(kernel_rows), grid, spec.p,
+                                   ledger[3][at].T.ravel()).reshape(m, a).T
 
-    v_end, u_end = _integrate([col], spec, grid, dt, diffusion, scheme, observe)
-    return TrajectoryRecord(
-        grid=grid, times=times, v_sq=v_sq, gradv_sq=gradv_sq, zsq_lp_p=zsq_lp_p,
-        z_sq=z_sq, g_sq=g_sq,
-        u_final=Field(grid, u_init.values if n == 0 else u_end[0]), v_final=v_end[0],
-        dt=dt, scheme=scheme.name, alpha=spec.alpha)
+    v_end, u_end = _integrate(columns, spec, grid, dt, scheme, observe)
+    out = [None] * len(columns)
+    for j, i in enumerate(order):
+        (times, g_sq), u_final = series[i], u_end[i]
+        rows = ledger[:, j, n_max - ns[i]:]  # v_sq, gradv_sq, zsq_lp_p, z_sq: record order
+        if ns[i] == 0:  # keep a zero-step run an exact identity (no z round trip)
+            u_final = columns[i].u_init
+            rows[2] = _lp_p_rows(u_final[None], grid, spec.p, rows[3])
+        out[i] = TrajectoryRecord(grid, times, *rows, g_sq, Field(grid, u_final), v_end[i], dt,
+                                  scheme.name, columns[i].alpha)
+    return out
 
 
 # -- the two solvers ---------------------------------------------------------
@@ -482,7 +474,6 @@ def solve_u_transform(
     path: WienerPath,
     spec: ModelSpec,
     dt: float = 1e-3,
-    diffusion: bool = True,
     forcing_offset: float = 0.0,
 ) -> TrajectoryRecord:
     """Integrate via the conjugation transform; returns u = v / z.
@@ -493,7 +484,8 @@ def solve_u_transform(
     cocycle code translate the forcing clock without touching the path.
     A zero-step call returns u_init itself.
     """
-    return _record(_Transform, u_init, t_start, t_end, path, spec, dt, diffusion, forcing_offset)
+    col = _Column(u_init.values, t_start, t_end, path, spec.alpha, forcing_offset)
+    return _records(_Transform, [col], spec, u_init.grid, dt)[0]
 
 
 def solve_u_direct(
@@ -503,7 +495,6 @@ def solve_u_direct(
     path: WienerPath,
     spec: ModelSpec,
     dt: float = 1e-3,
-    diffusion: bool = True,
     forcing_offset: float = 0.0,
 ) -> TrajectoryRecord:
     """Integrate the original equation; independent oracle for the transform.
@@ -514,4 +505,5 @@ def solve_u_direct(
     forcing are explicit at the left endpoint, damped diffusion is
     implicit, exactly as in the transform route.
     """
-    return _record(_Direct, u_init, t_start, t_end, path, spec, dt, diffusion, forcing_offset)
+    col = _Column(u_init.values, t_start, t_end, path, spec.alpha, forcing_offset)
+    return _records(_Direct, [col], spec, u_init.grid, dt)[0]

@@ -6,7 +6,6 @@ full desk-scale setups, so this module dominates suite runtime; nothing
 here is a smoke test.
 """
 
-import dataclasses
 import time
 
 import numpy as np
@@ -33,7 +32,6 @@ from stochrd import (
     pullback_ensemble,
     sample_initial,
     sample_two_sided_path,
-    solve_u_direct,
     solve_u_transform,
     sweep_alpha,
     tail_uniformity_report,
@@ -41,6 +39,7 @@ from stochrd import (
 )
 from stochrd.attractor import _pullback_sets
 from stochrd.cli import execute, load_config
+from stochrd.solver import _Column, _Direct, _records, _Transform
 
 G = Grid(dim=1, half_width=8.0, n=257)
 SPEC = canonical_cubic(alpha=0.5, forcing=periodic_bump_forcing(0.05))
@@ -77,17 +76,12 @@ def test_01_identity_and_composition():
 def test_02_scheme_agreement_under_refinement():
     t0 = time.perf_counter()
     dts = (1e-3, 5e-4, 2.5e-4, 1.25e-4)
+    paths = [sample_two_sided_path(seed, 1.0, 1.25e-4) for seed in range(1, 11)]
+    cols = [_Column(GAUSS.values, 0.0, 1.0, p, alpha) for p in paths for alpha in (0.1, 0.5, 1.0)]
     gaps = np.zeros((30, len(dts)))
-    row = 0
-    for seed in range(1, 11):
-        p = sample_two_sided_path(seed, 1.0, 1.25e-4)
-        for alpha in (0.1, 0.5, 1.0):
-            spec = SPEC
-            for j, dt in enumerate(dts):
-                a = solve_u_transform(GAUSS, 0.0, 1.0, p, dataclasses.replace(spec, alpha=alpha), dt)
-                b = solve_u_direct(GAUSS, 0.0, 1.0, p, dataclasses.replace(spec, alpha=alpha), dt)
-                gaps[row, j] = l2_distance(a.u_final, b.u_final)
-            row += 1
+    for j, dt in enumerate(dts):
+        pairs = zip(*(_records(scheme, cols, SPEC, G, dt) for scheme in (_Transform, _Direct)))
+        gaps[:, j] = [l2_distance(a.u_final, b.u_final) for a, b in pairs]
     worst = gaps.max(axis=0)
     mean = gaps.mean(axis=0)
     elapsed = time.perf_counter() - t0
@@ -107,40 +101,45 @@ def test_02_scheme_agreement_under_refinement():
 def test_03_pure_noise_closed_form():
     base = ModelSpec(lam=1e-12, alpha=0.8, p=4.0, alpha1=1.0, alpha2=1.0,
                      alpha3=0.0, growth_c=3.0, f=Nonlinearity("zero"))
+    # one interior node, where 2 dt/h^2 = 2e-19 vanishes next to 1 + dt*lam: the scalar SDE
+    u0 = Field(Grid(1, 1e8, 3), [0.0, 1.0, 0.0])
     worst_transform = 0.0
     for seed in (21, 22, 23):
         p = sample_two_sided_path(seed, 3.0, DT)
-        exact = GAUSS.values * np.exp(0.8 * (p.value_at(2.5) - p.value_at(0.5)))
+        exact = u0.values * np.exp(0.8 * (p.value_at(2.5) - p.value_at(0.5)))
         scale = np.max(np.abs(exact))
-        rec = solve_u_transform(GAUSS, 0.5, 2.5, p, base, DT, diffusion=False)
+        rec = solve_u_transform(u0, 0.5, 2.5, p, base, DT)
         worst_transform = max(
             worst_transform, np.max(np.abs(rec.u_final.values - exact)) / scale
         )
 
+    paths = [sample_two_sided_path(seed, 2.0, 2.5e-4) for seed in range(20, 30)]
+    exact = [u0.values * np.exp(0.8 * p.value_at(2.0)) for p in paths]
+    cols = [_Column(u0.values, 0.0, 2.0, p, 0.8) for p in paths]
     rel = np.zeros((10, 3))
-    for i, seed in enumerate(range(20, 30)):
-        p = sample_two_sided_path(seed, 2.0, 2.5e-4)
-        exact = GAUSS.values * np.exp(0.8 * p.value_at(2.0))
-        scale = np.max(np.abs(exact))
-        for j, dt in enumerate((1e-3, 5e-4, 2.5e-4)):
-            rec = solve_u_direct(GAUSS, 0.0, 2.0, p, base, dt, diffusion=False)
-            rel[i, j] = np.max(np.abs(rec.u_final.values - exact)) / scale
+    for j, dt in enumerate((1e-3, 5e-4, 2.5e-4)):
+        for i, rec in enumerate(_records(_Direct, cols, base, u0.grid, dt)):
+            rel[i, j] = np.max(np.abs(rec.u_final.values - exact[i])) / np.max(np.abs(exact[i]))
+    # the leading error coefficient is random per path, so first-order
+    # convergence shows in the panel RMS, not pathwise at each level
     rms = np.sqrt((rel**2).mean(axis=0))
     first_order = rms[0] / rms[1] > 1.8 and rms[1] / rms[2] > 1.8
 
-    ok = worst_transform < 1e-10 and first_order
+    ok = worst_transform < 1e-10 and first_order and rms[2] < 2e-4
     _line(3, ok, f"transform error {worst_transform:.3e} < 1e-10, "
                  f"direct RMS ratios {rms[0] / rms[1]:.2f}, {rms[1] / rms[2]:.2f}")
     assert ok
 
 
+def _drawn_block(count: int) -> list:
+    """One 10-unit run per seed 1..count from its drawn state, alphas cycling 0, 0.5, 1."""
+    return [_Column(_drawn_state(seed).values, 0.0, 10.0, sample_two_sided_path(seed, 11.0, DT),
+                    (0.0, 0.5, 1.0)[(seed - 1) % 3]) for seed in range(1, count + 1)]
+
+
 def test_04_energy_certificate_panel():
-    alphas = (0.0, 0.5, 1.0)
     worst = np.inf
-    for i, seed in enumerate(range(1, 51)):
-        alpha = alphas[i % 3]
-        p = sample_two_sided_path(seed, 11.0, DT)
-        rec = phi_record(CocycleQuery(10.0, 0.0, p, _drawn_state(seed), alpha), SPEC, DT)
+    for rec in _records(_Transform, _drawn_block(50), SPEC, G, DT):
         rep = energy_certificate(rec, SPEC)
         worst = min(worst, rep.worst_margin)
         if not rep.passed:
@@ -152,12 +151,8 @@ def test_04_energy_certificate_panel():
 
 
 def test_05_gradient_certificate_panel():
-    alphas = (0.0, 0.5, 1.0)
     worst = np.inf
-    for i, seed in enumerate(range(1, 21)):
-        alpha = alphas[i % 3]
-        p = sample_two_sided_path(seed, 11.0, DT)
-        rec = phi_record(CocycleQuery(10.0, 0.0, p, _drawn_state(seed), alpha), SPEC, DT)
+    for rec in _records(_Transform, _drawn_block(20), SPEC, G, DT):
         rep = h1_certificate(rec, SPEC, t_audit=10.0)
         worst = min(worst, rep.worst_margin)
     ok = worst >= -10.0 * DT

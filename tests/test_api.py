@@ -50,6 +50,26 @@ def test_every_private_helper_is_used():
     assert unused == []
 
 
+def test_every_import_is_read():
+    # an import bound but never read, in the package, the tests or the demos; names the
+    # package lists in __all__ are its exports
+    unread = []
+    for folder in ("src/stochrd", "tests", "demos"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                    and not isinstance(n.ctx, ast.Store)}
+            read |= {c.value for stmt in tree.body if "__all__" in _defined(stmt)
+                     for c in ast.walk(stmt) if isinstance(c, ast.Constant)}
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                        node, "module", None) != "__future__":
+                    unread += [f"{path.relative_to(ROOT)}:{node.lineno} {alias.name}"
+                               for alias in node.names
+                               if (alias.asname or alias.name).split(".")[0] not in read]
+    assert unread == []
+
+
 def _public_callables():
     """(label, callee name, function, skip) for every public function and method in
     __all__; skip counts the leading parameters a call does not pass (self or cls)."""

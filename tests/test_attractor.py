@@ -425,6 +425,16 @@ def test_calibrate_c_matches_member_loop():
     assert c > 2.0 ** 10 * cfg.c_floor
 
 
+@pytest.mark.parametrize("field, value", [
+    ("c_floor", 0.0), ("c_floor", -1.0), ("seeds", ()), ("alphas", ()), ("m_samples", 0),
+    ("safety", -2.0), ("alphas", (2.0,)), ("alphas", (-0.5,))])
+def test_calibration_config_rejects_bad_values(field, value):
+    # c_floor <= 0 never climbed the candidate ladder; the rest failed deep in the solver
+    # or returned a negative constant
+    with pytest.raises(ValueError, match=field):
+        CalibrationConfig(**{field: value})
+
+
 def test_calibrate_c_raises_when_capped():
     cfg = CalibrationConfig(seeds=(1,), alphas=(0.5,), horizon=0.5,
                             m_samples=1, init_radius=4.0, c_cap=1e-6)

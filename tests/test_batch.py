@@ -27,6 +27,7 @@ from stochrd.solver import _Column, _integrate
 DT = 1e-2
 TAU = 0.3
 PATH = sample_two_sided_path(11, 2.0, DT)
+OTHER = sample_two_sided_path(12, 2.0, DT)
 SPEC = canonical_cubic(alpha=0.5, forcing=periodic_bump_forcing(0.05))
 
 column = st.tuples(
@@ -96,9 +97,34 @@ def test_batch_columns_match_single_runs(block):
             assert np.array_equal(ends[j], single), f"column {j}"
 
 
+def _arrays(rec):
+    return (rec.times, rec.v_sq, rec.gradv_sq, rec.zsq_lp_p, rec.z_sq, rec.g_sq,
+            rec.u_final.values, rec.v_final)
+
+
+@settings(max_examples=30, deadline=None)
+@given(blocks, st.sampled_from([solver._Transform, solver._Direct]),
+       st.lists(st.tuples(st.sampled_from([0.0, 0.25, -0.5]), st.booleans(),
+                          st.integers(0, 60) | st.just(0)), min_size=6, max_size=6))
+def test_records_match_one_column_records(block, scheme, extras):
+    # mixed lengths, zero among them, intensities, paths and start times in one block
+    grid = Grid(dim=block["dim"], half_width=4.0, n=17)
+    spec = _spec(block)
+    draws = [(steps, *rest) for (_, *rest), (_, _, steps) in zip(block["columns"], extras)]
+    cols = [dataclasses.replace(c, t_start=t0, t_end=t0 + c.t_end, path=OTHER if other else c.path)
+            for c, (t0, other, _) in zip(_columns(grid, draws, _scale(block)), extras)]
+    with _edges(block):
+        recs = solver._records(scheme, cols, spec, grid, DT)
+        for j, col in enumerate(cols):
+            one = solver._records(scheme, [col], spec, grid, DT)[0]
+            assert (recs[j].alpha, recs[j].scheme) == (col.alpha, scheme.name)
+            for a, b in zip(_arrays(recs[j]), _arrays(one)):
+                assert np.array_equal(a, b), f"column {j}"
+
+
 def _reference(col, spec, grid, scheme):
     """One column stepped by the plain formula with the core's implicit factor; final (v, u)."""
-    factor = solver._implicit_factor(grid, spec.lam, DT, True, scheme.factors)
+    factor = solver._implicit_factor(grid, spec.lam, DT, scheme.factors)
     n = round((col.t_end - col.t_start) / DT)
     times = col.t_start + DT * np.arange(n + 1)
     omega = col.path.value_at(times)
@@ -159,7 +185,9 @@ def test_batch_divergence_names_column(block, data):
                            (g + r, float(s)) for r, s in enumerate(v_sq[:, 0])))
         with pytest.raises(DivergenceError) as batch:
             _integrate(cols, spec, grid, DT)
-    assert batch.value.column == bad
+        with pytest.raises(DivergenceError) as records:  # in block order, bad may move
+            solver._records(solver._Transform, cols, spec, grid, DT)
+    assert batch.value.column == records.value.column == bad
     assert batch.value.t == single.value.t
     assert f"column {bad}" in str(batch.value)
     # the last finite norm and its time, the same alone as in the block

@@ -4,7 +4,6 @@ whole-step rule, the norm kernels, the weight cocycle and the sign of margins.""
 
 import os
 import tempfile
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -46,7 +45,7 @@ from stochrd import solver
 from stochrd.attractor import _dedup
 from stochrd.fields import _h1_sq_rows, _l2_distances, _l2_sq_rows, _lp_p_rows
 from stochrd.model import _memory_integral
-from stochrd.solver import (_Column, _Direct, _integrate, _record, _SineFactor,
+from stochrd.solver import (_Column, _Direct, _integrate, _records, _SineFactor,
                            _SparseFactor, _Transform)
 from stochrd.wiener import _whole_steps
 
@@ -88,21 +87,21 @@ def test_deviation_block_matches_two_single_runs(dim, alpha, steps, tau, window,
 
 @settings(max_examples=30, deadline=None)
 @given(dim=st.sampled_from([1, 2]), scheme=st.sampled_from([_Transform, _Direct]),
-       alpha=st.sampled_from([0.0, 0.3, 1.0]), steps=st.integers(0, 60),
-       window=st.integers(1, 40), chunk=st.sampled_from([17, 100, 512, 2048]),
-       shape_seed=st.integers(0, 2**32 - 1))
-def test_record_ledger_is_the_kernels_of_its_states(dim, scheme, alpha, steps, window, chunk,
-                                                    shape_seed):
+       alpha=st.sampled_from([0.0, 0.3, 1.0]), steps=st.integers(0, 60) | st.just(0),
+       t0=st.sampled_from([0.0, 0.25, -0.5]), window=st.integers(1, 40),
+       chunk=st.sampled_from([17, 100, 512, 2048]), shape_seed=st.integers(0, 2**32 - 1))
+def test_record_ledger_is_the_kernels_of_its_states(dim, scheme, alpha, steps, t0, window,
+                                                    chunk, shape_seed):
     grid = Grid(dim=dim, half_width=4.0, n=17)
     # the boundary nodes too, which only the start writes and every later chunk must keep
     raw = np.random.default_rng(shape_seed).uniform(-1.0, 1.0, grid.shape)
-    spec, t = SPEC.with_alpha(alpha), steps * DT
+    # away from t = 0, z != 1 and a z round trip would move the bits of u
+    spec, col = SPEC.with_alpha(alpha), _Column(raw, t0, t0 + steps * DT, PATH, alpha, 0.3)
     with mock.patch.multiple(solver, _WINDOW=window, _CHUNK=chunk):
-        rec = _record(scheme, SimpleNamespace(grid=grid, values=raw), 0.0, t, PATH, spec, DT,
-                      True, 0.3)
+        rec = _records(scheme, [col], spec, grid, DT)[0]
     states = []  # (v, u) at every ledger index, one index per chunk
     with mock.patch.multiple(solver, _WINDOW=window, _CHUNK=1):
-        _integrate([_Column(raw, 0.0, t, PATH, alpha, 0.3)], spec, grid, DT, scheme=scheme,
+        _integrate([col], spec, grid, DT, scheme=scheme,
                    observe=lambda g, v, u, v_sq: states.append((v[0, 0].copy(), u[0, 0].copy())))
     v, u = (np.array(x) for x in zip(*states))
     assert len(v) == steps + 1

@@ -144,6 +144,10 @@ def test_uniform_bound_check_rejects_bad_ladders():
         uniform_bound_check(0.0, p, [0.5, 0.5], SPEC, ab, G)
     with pytest.raises(ValueError):
         uniform_bound_check(0.0, p, [0.25, 0.5], SPEC, ab, G)
+    # an empty ladder passed vacuously with an infinite margin; R dominates only on [0, 1]
+    for alphas in ([], [2.0, 0.5], [0.5, -0.5]):
+        with pytest.raises(ValueError, match="ladder in"):
+            uniform_bound_check(0.0, p, alphas, SPEC, ab, G)
 
 
 # -- uptick filter -----------------------------------------------------------------
