@@ -46,7 +46,7 @@ from .fields import (Field, Grid, _l2_distances, _l2_sq_rows, norms, read_field_
 from .model import ModelSpec
 from .report import _write_csv, _write_json
 from .solver import _Column, _integrate
-from .wiener import WienerPath, quad_exp, sample_two_sided_path, shift_path
+from .wiener import WienerPath, _whole_steps, _window, quad_exp, sample_two_sided_path, shift_path
 
 #: resolution at which pullback endpoint sets are deduplicated
 _DEDUP_TOL = 1e-9
@@ -315,6 +315,8 @@ def _pullback_sets(
         raise ValueError("m_samples must be >= 1")
     if not all(0.0 <= a <= 1.0 for a in alphas):
         raise ValueError("alpha must lie in [0, 1]")
+    if not eps_att > 0:
+        raise ValueError(f"eps_att = {eps_att!r} must be positive")
 
     shifted = [shift_path(path, -t) for t in horizons]
     columns = []
@@ -427,11 +429,17 @@ class CalibrationConfig:
             raise ValueError("seeds must not be empty")
         if not (self.alphas and all(0.0 <= a <= 1.0 for a in self.alphas)):
             raise ValueError(f"alphas = {self.alphas!r} must be non-empty and lie in [0, 1]")
-        if not self.m_samples >= 1:
-            raise ValueError(f"m_samples = {self.m_samples!r} must be >= 1")
-        for name in ("c_floor", "safety"):  # c = 0 never climbs the sqrt(2) ladder
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} = {getattr(self, name)!r} must be positive")
+        for name in ("m_samples", "modes"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} = {getattr(self, name)!r} must be >= 1")
+        if not np.isfinite(self.tau):
+            raise ValueError(f"tau = {self.tau!r} must be finite")
+        if not 0 <= self.init_radius < np.inf:
+            raise ValueError(f"init_radius = {self.init_radius!r} must be finite and >= 0")
+        for name in ("dt", "horizon", "c_floor", "safety"):  # c = 0 never climbs the ladder
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} = {getattr(self, name)!r} must be finite and positive")
+        _whole_steps(self.horizon, self.dt, "horizon")
 
 
 def calibrate_c(spec: ModelSpec, grid: Grid, config: CalibrationConfig | None = None) -> float:
@@ -448,10 +456,10 @@ def calibrate_c(spec: ModelSpec, grid: Grid, config: CalibrationConfig | None = 
     unit = AbsorbingSpec(c_abs=1.0)
     family = TemperedFamilySpec("constant", radius=cfg.init_radius, modes=cfg.modes)
 
-    s_max = max(cfg.horizon, unit.s_trunc)
+    span = _window(max(cfg.horizon, unit.s_trunc), cfg.dt, "the calibration path span")
     columns, m_units = [], []
     for seed in cfg.seeds:
-        path = sample_two_sided_path(seed, s_max, cfg.dt)
+        path = sample_two_sided_path(seed, span, cfg.dt)
         shifted = shift_path(path, -cfg.horizon)
         for alpha in cfg.alphas:
             m_units += [absorbing_radius(cfg.tau, path, alpha, spec, unit, grid)] * cfg.m_samples

@@ -53,7 +53,7 @@ from .model import (
 )
 from .report import _write_csv, _write_json
 from .semicontinuity import sweep_alpha
-from .wiener import _whole_steps, sample_two_sided_path
+from .wiener import _whole_steps, _window, sample_two_sided_path
 
 COMMANDS = ("check-model", "simulate", "certify", "attractor", "periodicity", "sweep-alpha")
 
@@ -96,7 +96,6 @@ class ExperimentConfig:
     tau: float = 0.0
 
     seed: int = 7
-    s_max: float = 0.0
 
     horizons: tuple = (6.0, 12.0, 20.0)
     m_samples: int = 6
@@ -167,10 +166,10 @@ class ExperimentConfig:
         )
 
     def path_span(self) -> float:
-        if self.s_max > 0:
-            return self.s_max
-        return max(max(self.horizons) + self.s_trunc + abs(self.tau),
-                   abs(self.tau) + self.t_final) + 1.0
+        """Half-width of the noise window, rounded up to whole steps of dt; the
+        periodicity command adds one forcing period to it."""
+        return _window(max(max(self.horizons) + self.s_trunc + abs(self.tau),
+                           abs(self.tau) + self.t_final) + 1.0, self.dt, "the path span")
 
 
 def _require_steps(name: str, span: float, step: float, step_name: str = "time.dt") -> None:
@@ -183,16 +182,7 @@ def _require_steps(name: str, span: float, step: float, step_name: str = "time.d
         raise ConfigError(f"{exc} ({step_name})") from None
 
 
-def _sample_path(config: ExperimentConfig, seed: int, span: float, needed: float):
-    """The noise path over [-span, span]; span must be whole steps of dt and cover needed."""
-    if span < needed:  # only a set noise.s_max can fall short of the default span
-        raise ConfigError(f"noise.s_max = {config.s_max!r} gives a path over [-{span:g}, "
-                          f"{span:g}]; this command needs [-{needed:g}, {needed:g}]")
-    _require_steps("the path span", span, config.dt)
-    return sample_two_sided_path(seed, span, config.dt)
-
-
-def _require_pullback(config: ExperimentConfig) -> float:
+def _require_pullback(config: ExperimentConfig) -> None:
     """Two or more positive increasing whole-step horizons, members and a positive eps_att."""
     horizons = list(config.horizons)
     if len(horizons) < 2 or horizons[0] <= 0 or sorted(horizons) != horizons:
@@ -203,19 +193,11 @@ def _require_pullback(config: ExperimentConfig) -> float:
         raise ConfigError(f"experiment.m_samples = {config.m_samples!r} must be >= 1")
     if not config.eps_att > 0:
         raise ConfigError(f"experiment.eps_att = {config.eps_att!r} must be positive")
-    # how far back the pullback, and the absorbing-ball radii, read the path
-    return horizons[-1] + (config.s_trunc if config.family == "absorbing-ball" else 0.0)
 
 
 def _number(text: str) -> float:
     if not math.isfinite(value := float(text)):
         raise ValueError(f"{text!r} is not finite")
-    return value
-
-
-def _span(text: str) -> float:
-    if (value := _number(text)) < 0:
-        raise ValueError(f"span {text!r} is negative")
     return value
 
 
@@ -250,7 +232,7 @@ _SCHEMA = {
               "forcing_support": _number, "delta": _number},
     "grid": {"dim": int, "half_width": _number, "n": int},
     "time": {"dt": _number, "t_final": _number, "tau": _number},
-    "noise": {"seed": _seed, "s_max": _span},
+    "noise": {"seed": _seed},
     "experiment": {"horizons": _list(_number), "m_samples": int, "alphas": _list(_number),
                    "seeds": _list(_seed), "eps_att": _number, "eps_semi": _number,
                    "c_abs": _number, "s_trunc": _number, "quad_step": _number,
@@ -335,7 +317,7 @@ def _run_record(config: ExperimentConfig, seed: int, out_dir: str):
     grid = config.build_grid()
     _require_steps("time.t_final", config.t_final, config.dt)
     family = _initial_family(config)
-    path = _sample_path(config, seed, config.path_span(), config.t_final)
+    path = sample_two_sided_path(seed, config.path_span(), config.dt)
     u0 = sample_initial(family, grid, family.radius,
                         np.random.default_rng(np.random.SeedSequence((seed, 0, 0))))
     query = CocycleQuery(config.t_final, config.tau, path, u0, config.alpha)
@@ -376,9 +358,9 @@ def _cmd_certify(config: ExperimentConfig, out_dir: str, seed: int, threads: int
 def _cmd_attractor(config: ExperimentConfig, out_dir: str, seed: int, threads: int) -> int:
     spec = config.build_spec()
     grid = config.build_grid()
-    needed = _require_pullback(config)
+    _require_pullback(config)
     family, absorbing = config.build_family(), config.build_absorbing()
-    path = _sample_path(config, seed, config.path_span(), needed)
+    path = sample_two_sided_path(seed, config.path_span(), config.dt)
     approx = pullback_ensemble(
         tau=config.tau, path=path, alpha=config.alpha, spec=spec, grid=grid,
         horizons=config.horizons, m_samples=config.m_samples, family=family,
@@ -397,9 +379,10 @@ def _cmd_periodicity(config: ExperimentConfig, out_dir: str, seed: int, threads:
         raise ConfigError(f"model.forcing = {config.forcing!r} has no period; "
                           "periodicity needs periodic-bump")
     grid = config.build_grid()
-    needed = _require_pullback(config)
+    _require_pullback(config)
     family, absorbing = config.build_family(), config.build_absorbing()
-    path = _sample_path(config, seed, config.path_span() + config.forcing_period, needed)
+    span = _window(config.path_span() + config.forcing_period, config.dt, "the path span")
+    path = sample_two_sided_path(seed, span, config.dt)
     dist, a, b = attractor_periodicity_check(
         spec, config.tau, path, config.alpha, grid, config.horizons, config.m_samples,
         family, absorbing, dt=config.dt, eps_att=config.eps_att, seed=seed, workers=threads,
@@ -431,9 +414,6 @@ def _cmd_sweep(config: ExperimentConfig, out_dir: str, seed, threads: int) -> in
     if not config.eps_semi > 0:
         raise ConfigError(f"experiment.eps_semi = {config.eps_semi!r} must be positive")
     _require_pullback(config)
-    # the span sweep_alpha samples for each seed
-    _require_steps("the sweep path span", max(config.horizons) + config.s_trunc
-                   + abs(config.tau), config.dt)
     result = sweep_alpha(
         spec, grid, config.tau, config.alphas, seeds, config.horizons,
         config.m_samples, config.build_family(), config.build_absorbing(),

@@ -40,7 +40,7 @@ from .fields import Field, Grid, _l2_sq_rows
 from .model import ModelSpec
 from .report import CertificateReport, _write_csv, _write_json
 from .solver import _Column, _integrate
-from .wiener import _GRID_RTOL, WienerPath, sample_two_sided_path
+from .wiener import _GRID_RTOL, WienerPath, _window, sample_two_sided_path
 
 
 def path_smallness(path: WienerPath, alpha: float, t_lo: float, t_hi: float) -> float:
@@ -217,18 +217,20 @@ def sweep_alpha(
         raise ValueError("alphas must decrease strictly")
     if any(a <= 0 for a in alphas):
         raise ValueError("the ladder is for positive intensities; zero is appended")
-    if not alphas or not seeds:
-        raise ValueError("the sweep needs at least one intensity and one seed")
+    if not alphas or not seeds or not horizons:
+        raise ValueError("the sweep needs at least one intensity and one seed, and a horizon")
+    if not eps_semi > 0:
+        raise ValueError(f"eps_semi = {eps_semi!r} must be positive")
     if tail_radius is None:
         tail_radius = grid.half_width / 2.0
     if not tail_radius >= 0:
         raise ValueError("tail_radius must be nonnegative")
 
-    s_max = max(horizons) + absorbing.s_trunc + abs(tau)
+    span = _window(max(horizons) + absorbing.s_trunc + abs(tau), dt, "the sweep path span")
     ladder = [0.0] + alphas
     radii, sections = [], []  # per seed, one entry per intensity of the ladder
     for seed in seeds:
-        path = sample_two_sided_path(seed, s_max, dt)
+        path = sample_two_sided_path(seed, span, dt)
         sections.append(_pullback_sets([(tau, seed)], path, ladder, spec, grid, horizons,
                                        m_samples, family, absorbing, dt, eps_att, workers))
         # at alpha = 0 the path weight is exp(-0.0 w) = 1.0, the deterministic radius

@@ -23,6 +23,7 @@ WindowExceededError rather than extrapolating.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,15 +39,21 @@ DEFAULT_QUAD_STEP = 0.01
 _GRID_RTOL = 1e-9
 
 
-def _whole_steps(span: float, step: float, what: str) -> int:
-    """k = span / step as an int; ValueError naming what unless step > 0 and
-    k lies within _GRID_RTOL * max(1, |k|) of an integer."""
+def _window(span: float, step: float, what: str) -> float:
+    """span rounded up to whole steps of step; ValueError naming what unless step > 0.
+    A span within _GRID_RTOL * max(1, |k|) of k whole steps comes back as it is, so a
+    path drawn over it keeps its step count and its bits."""
     if not step > 0:
         raise ValueError(f"{what}: step {step!r} must be positive")
     k = span / step
-    if abs(k - round(k)) > _GRID_RTOL * max(1.0, abs(k)):
+    return span if abs(k - round(k)) <= _GRID_RTOL * max(1.0, abs(k)) else math.ceil(k) * step
+
+
+def _whole_steps(span: float, step: float, what: str) -> int:
+    """k = span / step as an int; ValueError naming what unless _window keeps span."""
+    if _window(span, step, what) != span:
         raise ValueError(f"{what} = {span!r} is not a whole number of steps {step!r}")
-    return int(round(k))
+    return int(round(span / step))
 
 
 class WienerPath:
@@ -151,7 +158,8 @@ def sample_two_sided_path(seed: int, s_max: float, grid_step: float) -> WienerPa
 
     Forward and backward halves use independent Gaussian increment
     streams spawned from the one seed, each increment with variance
-    grid_step.  The draw is bit-reproducible for a fixed seed.
+    grid_step.  The draw is bit-reproducible for a fixed seed, and a
+    longer s_max extends it: grid values on the common window are equal.
     """
     if not s_max > 0:
         raise ValueError("s_max must be positive")

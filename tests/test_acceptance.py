@@ -293,9 +293,6 @@ REDUCED_SWEEP = """\
 [model]
 alpha = 0.5
 
-[noise]
-s_max = 4.0
-
 [experiment]
 horizons = 1.0, 2.0
 m_samples = 2

@@ -290,6 +290,11 @@ def test_pullback_validates_arguments():
     for alpha in (1.5, -0.5):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             pullback_ensemble(horizons=[0.5], **{**kw, "alpha": alpha})
+    # a budget no set distance can meet is rejected before any step
+    with mock.patch.object(attractor, "_integrate", side_effect=AssertionError("stepped")):
+        for eps_att in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="eps_att"):
+                pullback_ensemble(horizons=[0.5, 1.0], eps_att=eps_att, **kw)
 
 
 def test_pool_divergence_names_block_column():
@@ -427,12 +432,24 @@ def test_calibrate_c_matches_member_loop():
 
 @pytest.mark.parametrize("field, value", [
     ("c_floor", 0.0), ("c_floor", -1.0), ("seeds", ()), ("alphas", ()), ("m_samples", 0),
-    ("safety", -2.0), ("alphas", (2.0,)), ("alphas", (-0.5,))])
+    ("safety", -2.0), ("alphas", (2.0,)), ("alphas", (-0.5,)),
+    ("tau", math.nan), ("tau", math.inf), ("horizon", -1.0), ("horizon", 0.0),
+    ("horizon", math.nan), ("horizon", math.inf), ("horizon", 0.0005), ("dt", 0.0),
+    ("dt", -1e-3), ("dt", math.nan), ("dt", math.inf), ("init_radius", -1.0),
+    ("init_radius", math.nan), ("init_radius", math.inf), ("modes", 0)])
 def test_calibration_config_rejects_bad_values(field, value):
     # c_floor <= 0 never climbed the candidate ladder; the rest failed deep in the solver
-    # or returned a negative constant
+    # with messages naming no field, or returned a constant fitted to no integration
     with pytest.raises(ValueError, match=field):
         CalibrationConfig(**{field: value})
+
+
+def test_calibrate_c_rounds_its_window_up():
+    # the 40.0 memory window is not whole steps of dt = 0.003; the horizon 0.6 is
+    cfg = CalibrationConfig(seeds=(1,), alphas=(0.5,), horizon=0.6, m_samples=1, dt=0.003)
+    c = calibrate_c(SPEC, G, config=cfg)
+    k = 2.0 * math.log2(c / (cfg.safety * cfg.c_floor))
+    assert c > 0 and abs(k - round(k)) < 1e-9
 
 
 def test_calibrate_c_raises_when_capped():

@@ -2,13 +2,15 @@
 
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stochrd import AttractorApprox, Field, Grid, SweepResult, SweepRow, WienerPath
-from stochrd.cli import (ConfigError, ExperimentConfig, _run_record, execute, load_config,
-                         main)
+from stochrd.cli import (_SCHEMA, ConfigError, ExperimentConfig, _run_record, execute,
+                         load_config, main)
 from stochrd.report import _write_csv, _write_json
 
 SMALL = """\
@@ -21,7 +23,6 @@ t_final = 1.0
 
 [noise]
 seed = 7
-s_max = 4.0
 
 [experiment]
 horizons = 1.0, 2.0
@@ -74,7 +75,6 @@ def test_load_config_rejects_malformed_values(tmp_path):
     # numbers must be finite and seeds non-negative
     for old, new, key in [
         ("t_final = 1.0", "t_final = 1.0\ntau = nan", "time.tau"),
-        ("s_max = 4.0", "s_max = nan", "noise.s_max"),
         ("t_final = 1.0", "t_final = nan", "time.t_final"),
         ("eps_att = 0.5", "eps_att = inf", "experiment.eps_att"),
         ("horizons = 1.0, 2.0", "horizons = 1.0, -inf", "experiment.horizons"),
@@ -94,6 +94,11 @@ def test_main_exit_codes_for_bad_usage(tmp_path, capsys):
     assert main(["check-model", "--config", bad]) == 2
     malformed = write_config(tmp_path, SMALL.replace("seed = 7", "seed = x"), "m.ini")
     assert main(["simulate", "--config", malformed]) == 2
+    # the path window is derived, not set: the former noise.s_max is an unknown entry
+    old = write_config(tmp_path, SMALL.replace("seed = 7", "seed = 7\ns_max = 4.0"), "s.ini")
+    capsys.readouterr()
+    assert main(["simulate", "--config", old]) == 2
+    assert "unknown configuration entries: noise.s_max" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--config", bad])
     assert exc.value.code == 2
@@ -294,9 +299,8 @@ def test_step_grid_mismatch_exits_2(tmp_path, capsys):
     ("check-model", "s_trunc = 2.0", "s_trunc = 40.005", "experiment.s_trunc"),
     ("check-model", "s_trunc = 2.0", "s_trunc = 0", "experiment.s_trunc"),
     ("sweep-alpha", "s_trunc = 2.0", "s_trunc = 2.005", "[experiment] s_trunc"),
-    # t_final and s_max are whole steps of dt = 0.003; the unit window is not
-    ("certify", "t_final = 1.0\n\n[noise]\nseed = 7\ns_max = 4.0",
-     "dt = 0.003\nt_final = 1.5\n\n[noise]\nseed = 7\ns_max = 3.0",
+    # t_final is whole steps of dt = 0.003; the unit window is not
+    ("certify", "t_final = 1.0", "dt = 0.003\nt_final = 1.5",
      "unit audit window = 1.0 is not a whole number of steps 0.003 (time.dt)"),
     ("sweep-alpha", "seeds = 1, 2", "seeds =", "experiment.seeds"),
     ("sweep-alpha", "alphas = 0.5, 0.1", "alphas =", "experiment.alphas"),
@@ -313,23 +317,12 @@ def test_step_grid_mismatch_exits_2(tmp_path, capsys):
     ("periodicity", "eps_att = 0.5", "eps_att = 0", "experiment.eps_att"),
     ("sweep-alpha", "eps_semi = 0.5", "eps_semi = -1", "experiment.eps_semi"),
     ("attractor", "horizons = 1.0, 2.0", "horizons = 2.0", "experiment.horizons"),
-    ("simulate", "s_max = 4.0", "s_max = -1", "noise.s_max"),
-    # a set s_max must cover the span the command reads: t_final, or the deepest
-    # horizon (plus the period the periodicity command adds to the path)
-    ("simulate", "s_max = 4.0", "s_max = 0.5",
-     "noise.s_max = 0.5 gives a path over [-0.5, 0.5]; this command needs [-1, 1]"),
-    ("attractor", "s_max = 4.0", "s_max = 1.5",
-     "noise.s_max = 1.5 gives a path over [-1.5, 1.5]; this command needs [-2, 2]"),
-    ("periodicity", "s_max = 4.0", "s_max = 0.5",
-     "noise.s_max = 0.5 gives a path over [-1.5, 1.5]; this command needs [-2, 2]"),
 ], ids=["alpha", "family", "n", "lam", "delta", "m_samples", "c_abs", "s_trunc",
         "s_trunc-zero", "s_trunc-sweep", "h1-window", "seeds-empty", "alphas-empty",
         "tail_radius", "periodicity-zero-forcing", "periodicity-constant-forcing",
         "simulate-init_radius", "certify-init_radius", "attractor-init_radius",
         "attractor-ball_factor", "simulate-modes", "attractor-eps_att",
-        "periodicity-eps_att", "sweep-eps_semi", "attractor-one-depth",
-        "s_max-negative", "s_max-short-simulate", "s_max-short-attractor",
-        "s_max-short-periodicity"])
+        "periodicity-eps_att", "sweep-eps_semi", "attractor-one-depth"])
 def test_invalid_value_exits_2(tmp_path, capsys, monkeypatch, command, old, new, named):
     text = SMALL.replace(old, new)
     assert text != SMALL
@@ -341,10 +334,9 @@ def test_invalid_value_exits_2(tmp_path, capsys, monkeypatch, command, old, new,
 
 
 def test_unused_spans_do_not_reject(tmp_path):
-    # dt = 0.003 divides t_final and s_max but not the horizons 1.0, 2.0,
-    # which only the attractor, periodicity and sweep commands use
-    text = SMALL.replace("t_final = 1.0", "dt = 0.003\nt_final = 0.3").replace(
-        "s_max = 4.0", "s_max = 3.0")
+    # dt = 0.003 divides t_final but not the horizons 1.0, 2.0, which only
+    # the attractor, periodicity and sweep commands use
+    text = SMALL.replace("t_final = 1.0", "dt = 0.003\nt_final = 0.3")
     cfg = write_config(tmp_path, text)
     for command in ("simulate", "certify"):
         assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
@@ -353,3 +345,24 @@ def test_unused_spans_do_not_reject(tmp_path):
         ["check-model", "--config", write_config(tmp_path, name="ref.ini"),
          "--out", str(tmp_path / "m0")])
     assert main(["attractor", "--config", cfg, "--out", str(tmp_path / "a")]) == 2
+
+
+def test_derived_window_need_not_be_whole_steps(tmp_path):
+    # every span the config names is whole steps of dt = 0.004; the windows the
+    # commands derive from them (5.25, 6.25 and 4.25) are not, and get rounded up
+    text = SMALL.replace("t_final = 1.0", "dt = 0.004\nt_final = 1.0\ntau = 0.25")
+    cfg = write_config(tmp_path, text)
+    for command in ("simulate", "certify", "attractor", "periodicity", "sweep-alpha"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0, command
+
+
+def test_readme_schema_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    documented, keys = {}, None
+    for line in block.splitlines():
+        if section := re.fullmatch(r"\[(\w+)\]", line):
+            keys = documented.setdefault(section[1], set())
+        elif entry := re.match(r"(?:; )?(\w+) = ", line):  # "; key = ..." is a default
+            keys.add(entry[1])
+    assert documented == {sec: set(parsers) for sec, parsers in _SCHEMA.items()}

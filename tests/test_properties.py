@@ -1,6 +1,7 @@
 """Property tests of exact invariants: block deviation, the record ledger, the block
 periodicity and cocycle checks, the 2-d sine solve, shift group law, field IO, the
-whole-step rule, the norm kernels, the weight cocycle and the sign of margins."""
+whole-step rule and the path window, the norm kernels, the weight cocycle and the sign
+of margins."""
 
 import os
 import tempfile
@@ -47,7 +48,7 @@ from stochrd.fields import _h1_sq_rows, _l2_distances, _l2_sq_rows, _lp_p_rows
 from stochrd.model import _memory_integral
 from stochrd.solver import (_Column, _Direct, _integrate, _records, _SineFactor,
                            _SparseFactor, _Transform)
-from stochrd.wiener import _whole_steps
+from stochrd.wiener import _whole_steps, _window
 
 DT = 1e-2
 PATH = sample_two_sided_path(11, 2.0, DT)
@@ -219,6 +220,22 @@ def test_whole_steps_counts_grid_spans_and_rejects_others(k, step):
     assert _whole_steps(-k * step, step, "span") == -k
     with pytest.raises(ValueError, match="span"):
         _whole_steps((k + 0.5) * step, step, "span")
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), step=st.floats(1e-3, 1.0),
+       spans=st.lists(st.floats(1e-3, 4.0), min_size=2, max_size=2))
+def test_windows_round_up_and_extend_one_draw(seed, step, spans):
+    samples = []
+    for span in spans:
+        window = _window(span, step, "span")
+        assert span <= window < span + step
+        n = _whole_steps(window, step, "window")
+        samples.append((n, sample_two_sided_path(seed, window, step).samples))
+    # grid values on the common window are equal bit for bit, whatever the spans
+    m = min(n for n, _ in samples)
+    (a, wa), (b, wb) = samples
+    assert wa[a - m:a + m + 1].tobytes() == wb[b - m:b + m + 1].tobytes()
 
 
 def test_from_samples_and_memory_integral_follow_the_rule():

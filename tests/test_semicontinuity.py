@@ -189,9 +189,14 @@ def test_sweep_alpha_validates_ladder(monkeypatch):
         sweep_alpha(SPEC, G, alphas=[0.5, 0.0], **kw)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         sweep_alpha(SPEC, G, alphas=[2.0, 0.5], **kw)
-    # an empty ladder or seed list and a negative tail radius fail before any path is drawn
+    # an empty ladder, seed or horizon list, a negative tail radius and a budget no
+    # distance can meet fail before any path is drawn
     monkeypatch.setattr("stochrd.semicontinuity.sample_two_sided_path",
                         lambda *a: pytest.fail("sampled a path"))
+    with pytest.raises(ValueError, match="and a horizon"):
+        sweep_alpha(SPEC, G, alphas=[0.5], **{**kw, "horizons": []})
+    with pytest.raises(ValueError, match="eps_semi"):
+        sweep_alpha(SPEC, G, alphas=[0.5], eps_semi=-1.0, **kw)
     with pytest.raises(ValueError, match="at least one intensity and one seed"):
         sweep_alpha(SPEC, G, alphas=[], **kw)
     with pytest.raises(ValueError, match="at least one intensity and one seed"):
