@@ -241,12 +241,17 @@ def write_field_block(field: Field, path) -> None:
 
 
 def read_field_block(path) -> Field:
+    """The field of a write_field_block file; ValueError unless its size fits its header."""
     with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        dim, n, half_width = _HEADER.unpack(raw)
+        raw = fh.read()
+    want = f"at least {_HEADER.size}"
+    if len(raw) >= _HEADER.size:
+        dim, n, half_width = _HEADER.unpack_from(raw)
         grid = Grid(dim, half_width, n)
-        payload = np.frombuffer(fh.read(), dtype="<f8").astype(float)
-    return Field(grid, payload.reshape(grid.shape))
+        want = _HEADER.size + 8 * n**dim
+    if len(raw) != want:
+        raise ValueError(f"field block {path}: {len(raw)} bytes, expected {want}")
+    return Field(grid, np.frombuffer(raw, "<f8", offset=_HEADER.size).reshape(grid.shape))
 
 
 def field_to_csv(field: Field, path) -> None:

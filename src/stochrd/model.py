@@ -113,6 +113,11 @@ class Nonlinearity:
     family 'zero'      : f = 0
     family 'custom'    : user callable fn(x, s); its slopes are central
                          differences
+
+    The solvers step f through _kernel(x), bound once to the nodes x they step:
+    (sign, react), where react(u, c, out) writes the bits of k * value(x, u) into
+    out (not overlapping u) for c = sign * k.  The cubics scale (u*u)*u by c
+    (negation is exact), 'zero' fills out with 0, 'custom' writes c * value(x, u).
     """
 
     family: str = "cubic"
@@ -133,6 +138,18 @@ class Nonlinearity:
         if self.family == "zero":
             return np.zeros_like(s)
         return np.asarray(self.fn(x, s), dtype=float)
+
+    def _kernel(self, x):
+        """(sign, react): the in-place step kernel on nodes at x; see the class docstring."""
+        if self.family == "zero":
+            return 1.0, lambda u, c, out: out.fill(0.0)
+        if self.family == "custom":
+            return 1.0, lambda u, c, out: np.multiply(c, self.value(x, u), out=out)
+
+        def cube(u, c, out):  # ((u*u)*u)*c
+            np.multiply(np.multiply(np.multiply(u, u, out=out), u, out=out), c, out=out)
+
+        return (-1.0 if self.family == "cubic" else 1.0), cube
 
     def ds(self, x, s):
         """d f / d s: exact for the built-ins, a central difference for custom."""

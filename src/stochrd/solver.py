@@ -26,17 +26,17 @@ forcing profile; each has its own initial state, step count, path
 weights and forcing clock.  Columns end together: the longest run
 starts first and shorter ones join the active prefix of the block when
 their remaining step count is reached, so a column costs nothing
-before it starts.  A scheme binds its step once per table window and
-again when a column joins: one coefficient row per step (a float for
-one column, an (a, 1[, 1]) view for a > 1), so a step is a few in-place
-ufunc calls, the reaction and one solve for the whole active block.  In
-1-d that is LAPACK dpttrs (dpttrf prefactored and cached) in place on a
-C-ordered (K, n - 2) block, whose transpose is the Fortran layout; in
-2-d one type-I sine transform pair on the interior of the single
-(K, n, n) work block, which holds u = v / z and then the whole
-right-hand side (more blocks of that size, or ufuncs on its strided
-interior, slowed 2-d runs).  No column's arithmetic depends on
-another, so column j of a block equals a K = 1 run bit for bit.
+before it starts.  A scheme returns one runner per table window and
+per join, which steps a whole segment of buffer rows: coefficients are
+prebuilt rows (a float for one column, an (a, 1[, 1]) view for a > 1),
+the reaction is its family's in-place kernel and the forcing one
+product per segment, so a step is a few in-place ufunc calls and one
+solve for the whole active block.  In 1-d that is LAPACK dpttrs
+(dpttrf prefactored and cached) in place, on the destination row's
+interior for one column, else on a C-ordered (K, n - 2) block; in 2-d
+one type-I sine transform pair on the interior of a whole (K, n, n)
+block (ufuncs on the strided interior slowed 2-d runs).  No column's
+arithmetic depends on another, so column j equals a K = 1 run bit for bit.
 Weights and forcing amplitudes are tabulated per column in windows of
 _WINDOW steps counted back from the common end, so the tables stay
 small at any horizon and a column sees the same windows alone as in a
@@ -249,34 +249,35 @@ def _tables(cols, starts, spec: ModelSpec, dt: float, lo: int, hi: int):
 
 
 class _Scheme:
-    """One IMEX step (reaction, forcing, implicit solve) and the v, u views of its states;
-    bind(tab, a) returns step(src, dst, i): row i + 1 of the first a columns from row i."""
+    """One IMEX step (reaction, forcing, implicit solve), the v, u views of its states and
+    buf, the (rows, K) + grid-shape buffer of states.  runner(tab, a) returns run(r0, r1, i,
+    prev), the steps of the first a columns into buffer rows r0..r1 - 1: row r0 from row
+    prev, each later row from the one before, row r at table row i + r."""
 
     #: implicit factor per dimension, 1-d then 2-d
     factors: tuple = (_TridiagonalFactor, _SineFactor)
 
     def __init__(self, spec: ModelSpec, grid: Grid, dt: float, alphas):
-        self.dt = dt
-        self.f = spec.f
-        self.x = grid.coords()
+        self.dt, self.alphas = dt, alphas
         self.inner = (slice(None),) + (slice(1, -1),) * grid.dim
-        factor = _implicit_factor(grid, spec.lam, dt, self.factors)
-        self.alphas, self.solve = alphas, factor.solve
-        # one preallocated block for a step's u = v / z and, in 2-d, its right-hand side:
-        # fresh blocks per step let glibc trim and refault, more of them slowed 2-d runs
-        self.work = np.empty((len(alphas),) + grid.shape)
-        # A step writes the `nodes` of its right-hand side to rhs and solves rhs[unknowns]:
-        # the interior to a C-ordered (K, n - 2) block, whose transpose is the Fortran layout
-        # dpttrs and dpbtrs solve in place, else all of the work block, where its ufuncs run
-        # 4-5x faster in 2-d than on the strided interior view
-        if isinstance(factor, (_TridiagonalFactor, _BandedFactor)):
-            block = np.empty((len(alphas), grid.n - 2))
-            self.rhs, self.nodes, self.unknowns = block, self.inner, (...,)
-        else:
-            self.rhs, self.nodes, self.unknowns = self.work, (...,), self.inner
+        self.solve = _implicit_factor(grid, spec.lam, dt, self.factors).solve
+        # A step computes on the interior in 1-d, where dpttrs and dpbtrs solve a C-ordered
+        # (a, n - 2) block in place (its transpose is their Fortran layout); in 2-d on all of
+        # the contiguous (a, n, n) block, where ufuncs run 4-5x faster than on its interior
+        self.nodes, self.unknowns = ((self.inner, (...,)) if grid.dim == 1
+                                     else ((...,), self.inner))
+        shape = (len(alphas),) + (grid.shape if grid.dim == 2 else (grid.n - 2,))
+        # preallocated, as fresh blocks per step let glibc trim and refault: w holds u (the
+        # noise term on the direct route), t the reaction, then the rhs unless it is in place
+        self.w, self.t = np.empty(shape), np.empty(shape)
+        self.buf = np.zeros((max(1, min(_WINDOW, _CHUNK // (len(alphas) * grid.n**grid.dim))),
+                             len(alphas)) + grid.shape)
+        self.sign, self.react = spec.f._kernel(grid.coords() if grid.dim == 2 else grid.axis[1:-1])
         self.profile = None if spec.g.is_zero() else spec.g.profile.on_grid(grid)[self.nodes[1:]]
+        self.forcing = None if self.profile is None else np.empty((len(self.buf),) + shape)
         # broadcast one scalar per column over the field axes
         self.col = (Ellipsis,) + (None,) * grid.dim
+        self.views = {}  # per active width: every buffer row's stepped nodes and interior
 
     def v(self, block, tab, rows):  # a (rows, K, ...) block at table rows `rows`
         return block
@@ -287,11 +288,38 @@ class _Scheme:
         """Per-step coefficients of the first a columns: floats for one, else broadcast views."""
         return table[:, 0].tolist() if a == 1 else list(table[:, :a][self.col])
 
+    def runner(self, tab, a):
+        if a not in self.views:
+            full = [self.buf[r, :a] for r in range(len(self.buf))]
+            self.views[a] = [row[self.nodes] for row in full], [row[self.inner] for row in full]
+        nodes, inner = self.views[a]
+        rhs, solve, t, b = self.rhs(tab, a), self.solve, self.t[:a], self.t[:a][self.unknowns]
+        # a one-column 1-d interior is contiguous: its rhs is assembled and solved in place
+        in_place = a == 1 and self.nodes is self.inner
+        coeff = None if self.profile is None else getattr(tab, self.amp)[:, :a][self.col]
+
+        def run(r0, r1, i, prev):
+            terms = () if coeff is None else np.multiply(  # the segment's forcing terms
+                coeff[i + r0:i + r1], self.profile, out=self.forcing[:r1 - r0, :a])
+            for r in range(r0, r1):
+                dst = inner[r]
+                out = dst if in_place else t
+                rhs(i + r, nodes[prev], out)
+                if coeff is not None:
+                    np.add(out, terms[r - r0], out=out)
+                x = solve(dst if in_place else b)
+                if not in_place:
+                    dst[...] = x
+                prev = r
+
+        return run
+
 
 class _Transform(_Scheme):
     """State v = z u; explicit terms weighted by z at the left endpoint."""
 
     name = "transform"
+    amp = "dza"  # forcing coefficient z * dt * amplitude
 
     def start(self, u0, tab, i, j):
         return tab.z[i, j] * u0
@@ -299,21 +327,17 @@ class _Transform(_Scheme):
     def u(self, block, tab, rows):
         return tab.zinv[rows, :block.shape[1]][self.col] * block
 
-    def bind(self, tab, a):
-        zinv, dz, dza = (self.rows(c, a) for c in (tab.zinv, tab.dz, tab.dza))
-        work, rhs, nodes, inner = self.work[:a], self.rhs[:a], self.nodes, self.inner
-        explicit, b, profile = work[nodes], rhs[self.unknowns], self.profile
-        value, x, solve = self.f.value, self.x, self.solve
+    def rhs(self, tab, a):
+        """rhs(k, src, out): out = src + dz f(x, zinv src) at table row k, forcing aside."""
+        zinv, c = self.rows(tab.zinv, a), self.rows(self.sign * tab.dz, a)
+        w, t, react = self.w[:a], self.t[:a], self.react
 
-        def step(src, dst, i):
-            u = np.multiply(zinv[i], src, out=work)
-            np.multiply(dz[i], value(x, u), out=work)
-            np.add(explicit, src[nodes], out=rhs)
-            if profile is not None:
-                np.add(rhs, dza[i] * profile, out=rhs)
-            dst[inner] = solve(b)
+        def rhs(k, src, out):
+            np.multiply(src, zinv[k], out=w)
+            react(w, c[k], t)
+            np.add(t, src, out=out)  # last: with one buffer row, out is src
 
-        return step
+        return rhs
 
 
 class _Direct(_Scheme):
@@ -321,6 +345,7 @@ class _Direct(_Scheme):
 
     name = "direct"
     factors = (_BandedFactor, _SparseFactor)
+    amp = "dta"  # forcing coefficient dt * amplitude
 
     def start(self, u0, tab, i, j):
         return u0
@@ -328,22 +353,22 @@ class _Direct(_Scheme):
     def v(self, block, tab, rows):
         return tab.z[rows, :block.shape[1]][self.col] * block
 
-    def bind(self, tab, a):
+    def rhs(self, tab, a):
+        """rhs(k, u, out): out = u + dt f(x, u) + (alpha dW/2)(u + ubar), ubar = u + alpha dW u."""
         alphas, dw = self.alphas, tab.omega[1:] - tab.omega[:-1]
-        adw, hdw, dta = (self.rows(c, a) for c in (alphas * dw, 0.5 * alphas * dw, tab.dta))
-        rhs, nodes, inner, profile = self.rhs[:a], self.nodes, self.inner, self.profile
-        b, value, x, solve = rhs[self.unknowns], self.f.value, self.x, self.solve
+        adw, hdw = (self.rows(c, a) for c in (alphas * dw, 0.5 * alphas * dw))
+        c, w, t, react = self.sign * self.dt, self.w[:a], self.t[:a], self.react
 
-        def step(u, dst, i):
-            u_in = u[nodes]
-            ubar = u_in + adw[i] * u_in
-            np.add(u_in, (self.dt * value(x, u))[nodes], out=rhs)
-            np.add(rhs, hdw[i] * (u_in + ubar), out=rhs)
-            if profile is not None:
-                np.add(rhs, dta[i] * profile, out=rhs)
-            dst[inner] = solve(b)
+        def rhs(k, u, out):
+            np.multiply(u, adw[k], out=w)
+            np.add(u, w, out=w)  # ubar
+            np.add(u, w, out=w)
+            np.multiply(w, hdw[k], out=w)
+            react(u, c, t)
+            np.add(u, t, out=out)  # with one buffer row, out is u
+            np.add(out, w, out=out)
 
-        return step
+        return rhs
 
 
 def _block_order(columns, dt: float):
@@ -372,7 +397,7 @@ def _integrate(columns, spec: ModelSpec, grid: Grid, dt: float, scheme: type = _
     starts = [n_max - ns[j] for j in order] + [n_max + 1]  # one past the end: all joined
     sch = scheme(spec, grid, dt, np.array([c.alpha for c in cols]))
     # buffer row r holds the state at ledger index g + r of the current chunk
-    buf = np.zeros((max(1, min(_WINDOW, _CHUNK // sch.work.size)),) + sch.work.shape)
+    buf = sch.buf
     active = 0
     prev_sq = np.empty(0)  # the last checked state's |v|^2, all finite
 
@@ -415,14 +440,17 @@ def _integrate(columns, spec: ModelSpec, grid: Grid, dt: float, scheme: type = _
             if lo == 0:
                 join(0, tab, 0)
                 check(0, 1, tab, 0)
-            step = sch.bind(tab, active)  # and again whenever the active prefix grows
+            run = sch.runner(tab, active)  # and again whenever the active prefix grows
             for g in range(lo, hi, len(buf)):
                 m = min(len(buf), hi - g)
-                for r in range(m):
-                    step(buf[r - 1 if r else last, :active], buf[r, :active], g + r - lo)
-                    if g + r + 1 == starts[active]:
-                        join(g + r + 1, tab, g + r + 1 - lo)
-                        step = sch.bind(tab, active)
+                r = 0
+                while r < m:  # up to the next join
+                    e = min(m, starts[active] - g)
+                    run(r, e, g - lo, r - 1 if r else last)
+                    r = e
+                    if g + e == starts[active]:
+                        join(g + e, tab, g + e - lo)
+                        run = sch.runner(tab, active)
                 check(g + 1, m, tab, g + 1 - lo)
                 last = m - 1
         v, u = (f(buf[last:last + 1], tab, slice(n_max - lo, None))[0] for f in (sch.v, sch.u))

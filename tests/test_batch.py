@@ -38,6 +38,8 @@ column = st.tuples(
 )
 blocks = st.fixed_dictionaries({
     "dim": st.sampled_from([1, 2]),
+    # n = 3: one unknown per axis, the smallest in-place 1-d solve
+    "n": st.sampled_from([3, 17]),
     "window": st.integers(1, 40),
     "chunk": st.sampled_from([17, 100, 512, 2048, solver._CHUNK]),
     "columns": st.lists(column, min_size=1, max_size=6),
@@ -86,7 +88,7 @@ def _single(grid, col, spec):
 @given(blocks)
 def test_batch_columns_match_single_runs(block):
     # a block steps with per-column views, a single run with floats
-    grid = Grid(dim=block["dim"], half_width=4.0, n=17)
+    grid = Grid(dim=block["dim"], half_width=4.0, n=block["n"])
     spec = _spec(block)
     cols = _columns(grid, block["columns"], _scale(block))
     # small windows and chunks put table and chunk boundaries inside every run
@@ -108,7 +110,7 @@ def _arrays(rec):
                           st.integers(0, 60) | st.just(0)), min_size=6, max_size=6))
 def test_records_match_one_column_records(block, scheme, extras):
     # mixed lengths, zero among them, intensities, paths and start times in one block
-    grid = Grid(dim=block["dim"], half_width=4.0, n=17)
+    grid = Grid(dim=block["dim"], half_width=4.0, n=block["n"])
     spec = _spec(block)
     draws = [(steps, *rest) for (_, *rest), (_, _, steps) in zip(block["columns"], extras)]
     cols = [dataclasses.replace(c, t_start=t0, t_end=t0 + c.t_end, path=OTHER if other else c.path)
@@ -154,7 +156,7 @@ def _reference(col, spec, grid, scheme):
 @given(blocks, st.sampled_from([solver._Transform, solver._Direct]))
 def test_block_steps_match_the_reference_step(block, scheme):
     # up to four columns of up to twelve steps, with nonzero boundary values
-    grid = Grid(dim=block["dim"], half_width=4.0, n=17)
+    grid = Grid(dim=block["dim"], half_width=4.0, n=block["n"])
     spec = _spec(block)
     draws = [(steps % 13, *rest) for steps, *rest in block["columns"][:4]]
     cols = _columns(grid, draws, _scale(block))
@@ -170,7 +172,7 @@ def test_block_steps_match_the_reference_step(block, scheme):
 def test_batch_divergence_names_column(block, data):
     # f = +u^3 blows up from the one large initial state in finite time
     spec = dataclasses.replace(SPEC, f=Nonlinearity("anticubic"))
-    grid = Grid(dim=block["dim"], half_width=4.0, n=17)
+    grid = Grid(dim=block["dim"], half_width=4.0, n=block["n"])
     draws = [(max(steps, 40), a, amp, s) for steps, a, amp, s in block["columns"]]
     bad = data.draw(st.integers(0, len(draws) - 1))
     cols = _columns(grid, draws, scale=0.01)
@@ -210,3 +212,19 @@ def test_divergence_at_the_first_state_has_no_last_norm():
     assert err.value.t == col.t_start
     assert err.value.last_v_sq is None and err.value.last_t is None
     assert "last finite" not in str(err.value)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("reaction", ["cubic", "anticubic", "zero", "custom"])
+def test_builtin_reactions_step_without_value(dim, reaction):
+    # the core steps a built-in family through its kernel; only a custom one calls value
+    grid = Grid(dim=dim, half_width=4.0, n=17)
+    spec = _spec({"reaction": reaction, "forcing": SPEC.g})
+    cols = _columns(grid, [(12, 0.3, 1.0, 1), (5, 1.0, 0.5, 2)], 0.05)
+    custom = reaction == "custom"
+    with mock.patch.object(Nonlinearity, "value", autospec=True,
+                           side_effect=Nonlinearity.value if custom else AssertionError) as spy:
+        for scheme in (solver._Transform, solver._Direct):
+            _integrate(cols, spec, grid, DT, scheme)
+            solver._records(scheme, cols, spec, grid, DT)
+    assert spy.called == custom

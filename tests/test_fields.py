@@ -205,6 +205,23 @@ def test_binary_header_layout(tmp_path):
     assert len(raw) == 16 + 257 * 8
 
 
+@pytest.mark.parametrize("cut, want", [
+    (lambda raw: raw[:-8], "expected 152"),    # one value short
+    (lambda raw: raw + bytes(8), "expected 152"),  # one value over
+    (lambda raw: raw[:-3], "expected 152"),    # not a whole value
+    (lambda raw: raw[:10], "expected at least 16"),  # a cut header
+    (lambda raw: b"", "expected at least 16"),
+], ids=["short", "long", "partial", "cut-header", "empty"])
+def test_binary_size_mismatch_names_file_and_sizes(tmp_path, cut, want):
+    # the file AttractorApprox.read goes through: a 1-d n = 17 block of 16 + 17 * 8 bytes
+    p = tmp_path / "f.bin"
+    write_field_block(Field.zeros(Grid(dim=1, half_width=4.0, n=17)), p)
+    p.write_bytes(cut(p.read_bytes()))
+    with pytest.raises(ValueError) as err:
+        read_field_block(p)
+    assert str(err.value) == f"field block {p}: {p.stat().st_size} bytes, {want}"
+
+
 def test_csv_export(tmp_path):
     f = Field.from_function(G1, lambda x: x)
     p = tmp_path / "f.csv"
