@@ -51,7 +51,7 @@ from .model import (
     periodic_bump_forcing,
     validate_dissipativity,
 )
-from .report import _write_csv, _write_json
+from .report import _rows, _write_csv, _write_json
 from .semicontinuity import sweep_alpha
 from .wiener import _whole_steps, _window, sample_two_sided_path
 
@@ -322,8 +322,8 @@ def _run_record(config: ExperimentConfig, seed: int, out_dir: str):
                         np.random.default_rng(np.random.SeedSequence((seed, 0, 0))))
     query = CocycleQuery(config.t_final, config.tau, path, u0, config.alpha)
     rec = phi_record(query, spec, config.dt)
-    _write_csv(os.path.join(out_dir, "trajectory.csv"), ("t", "v_sq", "gradv_sq", "z_sq"), zip(
-        rec.times.tolist(), rec.v_sq.tolist(), rec.gradv_sq.tolist(), rec.z_sq.tolist()))
+    _write_csv(os.path.join(out_dir, "trajectory.csv"), ("t", "v_sq", "gradv_sq", "z_sq"),
+               _rows(rec.times, rec.v_sq, rec.gradv_sq, rec.z_sq))
     return spec, grid, rec
 
 

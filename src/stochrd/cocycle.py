@@ -38,7 +38,7 @@ import numpy as np
 
 from .fields import Field, l2_distance
 from .model import ModelSpec
-from .report import CertificateReport
+from .report import _ROWS, CertificateReport
 from .solver import TrajectoryRecord, _Column, _integrate, solve_u_transform
 from .wiener import WienerPath, _whole_steps, shift_path
 
@@ -133,17 +133,20 @@ def _memory_trapz(f: np.ndarray, lam: float, dt: float) -> np.ndarray:
     """Trapezoid sums I_k of e^{lam (s - t_k)} f(s) over [t_0, t_k].
 
     Built by the recursion I_k = e^{-lam dt} I_{k-1} + dt/2 (f_k + e^{-lam dt} f_{k-1}),
-    I_0 = 0, whose weights never exceed one, so no horizon overflows.
+    I_0 = 0, whose weights never exceed one, so no horizon overflows.  It runs in Python
+    floats over _ROWS values at a time, so no whole-ledger list is built.
     """
     q = float(np.exp(-lam * dt))
     half = 0.5 * dt
-    vals = f.tolist()
-    out = [0.0]
+    out = np.zeros(len(f))
     acc = 0.0
-    for prev, cur in zip(vals, vals[1:]):
-        acc = q * acc + half * (cur + q * prev)
-        out.append(acc)
-    return np.array(out)
+    for lo in range(1, len(f), _ROWS):  # out[lo:lo + _ROWS] from f[lo - 1:lo + _ROWS]
+        vals, seg = f[lo - 1:lo + _ROWS].tolist(), []
+        for prev, cur in zip(vals, vals[1:]):
+            acc = q * acc + half * (cur + q * prev)
+            seg.append(acc)
+        out[lo:lo + len(seg)] = seg
+    return out
 
 
 def energy_certificate(rec: TrajectoryRecord, spec: ModelSpec,

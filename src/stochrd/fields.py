@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .report import _write_csv
+from .report import _rows, _write_csv
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class Grid:
     dim : int
         Spatial dimension, 1 or 2.
     half_width : float
-        Box half-width L.
+        Box half-width L, positive and finite.
     n : int
         Points per axis including both boundary points, at least 3.
     """
@@ -47,8 +47,8 @@ class Grid:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
-        if not self.half_width > 0:
-            raise ValueError("half_width must be positive")
+        if not 0.0 < self.half_width < np.inf:
+            raise ValueError("half_width must be positive and finite")
         if self.n < 3:
             raise ValueError("need at least 3 points per axis")
 
@@ -241,13 +241,18 @@ def write_field_block(field: Field, path) -> None:
 
 
 def read_field_block(path) -> Field:
-    """The field of a write_field_block file; ValueError unless its size fits its header."""
+    """The field of a write_field_block file; ValueError naming the file unless its header
+    gives a valid Grid and its size fits that header."""
     with open(path, "rb") as fh:
         raw = fh.read()
     want = f"at least {_HEADER.size}"
     if len(raw) >= _HEADER.size:
         dim, n, half_width = _HEADER.unpack_from(raw)
-        grid = Grid(dim, half_width, n)
+        try:
+            grid = Grid(dim, half_width, n)
+        except ValueError as exc:
+            raise ValueError(f"field block {path}: header dim={dim}, n={n}, "
+                             f"half_width={half_width!r}: {exc}") from None
         want = _HEADER.size + 8 * n**dim
     if len(raw) != want:
         raise ValueError(f"field block {path}: {len(raw)} bytes, expected {want}")
@@ -258,4 +263,4 @@ def field_to_csv(field: Field, path) -> None:
     """CSV export: columns x,value (dim 1) or x,y,value (dim 2)."""
     g = field.grid
     _write_csv(path, ("x", "y")[:g.dim] + ("value",),
-               zip(*np.reshape(g.coords(), (g.dim, -1)).tolist(), field.values.ravel().tolist()))
+               _rows(*np.reshape(g.coords(), (g.dim, -1)), field.values.ravel()))

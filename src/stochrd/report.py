@@ -13,6 +13,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
+#: rows converted to Python numbers at a time, so no whole-ledger list is built
+_ROWS = 4096
+
 
 @dataclass
 class CertificateReport:
@@ -54,6 +57,12 @@ def _write_csv(path, header, rows) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(map(line.__mod__, rows))
+
+
+def _rows(*columns):
+    """_write_csv rows from equal-length 1-d arrays, one .tolist() per column every _ROWS."""
+    for lo in range(0, len(columns[0]), _ROWS):
+        yield from zip(*(c[lo:lo + _ROWS].tolist() for c in columns))
 
 
 def _plain(obj):

@@ -34,9 +34,11 @@ product per segment, so a step is a few in-place ufunc calls and one
 solve for the whole active block.  In 1-d that is LAPACK dpttrs
 (dpttrf prefactored and cached) in place, on the destination row's
 interior for one column, else on a C-ordered (K, n - 2) block; in 2-d
-one type-I sine transform pair on the interior of a whole (K, n, n)
-block (ufuncs on the strided interior slowed 2-d runs).  No column's
-arithmetic depends on another, so column j equals a K = 1 run bit for bit.
+one type-I sine transform along one axis of the interior of a whole
+(K, n, n) block, one chained dpttrs solve along the other and the
+inverse transform (Hockney's method; ufuncs on the strided interior
+slowed 2-d runs).  No column's arithmetic depends on another, so column j
+equals a K = 1 run bit for bit.
 Weights and forcing amplitudes are tabulated per column in windows of
 _WINDOW steps counted back from the common end, so the tables stay
 small at any horizon and a column sees the same windows alone as in a
@@ -88,8 +90,12 @@ class _TridiagonalFactor:
     def __init__(self, grid: Grid, lam: float, dt: float):
         m = grid.n - 2
         r = dt / grid.h**2
-        # the f2py wrapper wants one off-diagonal entry even at m = 1, where LAPACK reads none
-        d, e, info = dpttrf(np.full(m, 1.0 + dt * lam + 2.0 * r), np.full(max(m - 1, 1), -r))
+        self._factor(np.full(m, 1.0 + dt * lam + 2.0 * r), np.full(m, -r))
+
+    def _factor(self, d: np.ndarray, e: np.ndarray):
+        """Factor diagonal d with off-diagonal e[:-1]; e[-1] is never read."""
+        # the f2py wrapper wants one off-diagonal entry even for one unknown, where LAPACK reads none
+        d, e, info = dpttrf(d, e[:max(len(d) - 1, 1)])
         if info != 0:
             raise np.linalg.LinAlgError(f"dpttrf failed with info={info}")
         self._d, self._e = d, e
@@ -138,30 +144,35 @@ class _SparseFactor:
         return self._lu.solve(rhs.reshape(k, -1).T).T.reshape(rhs.shape)
 
 
-class _SineFactor:
-    """Dim 2, type-I discrete sine transform; one dstn/idstn pair per block.
+class _SineFactor(_TridiagonalFactor):
+    """Dim 2, Fourier analysis in one direction and tridiagonal solves in the other (Hockney
+    1965; FACR(0) in Swarztrauber's terms): one type-I sine transform along axis -2, one
+    chained dpttrs solve along axis -1, one inverse transform.
 
-    On the Dirichlet box the operator is diagonal in the sine basis, with
-    eigenvalue 1 + dt*lam + mu_i + mu_j, mu_k = 2 (dt/h^2) (1 - cos(pi k / (n - 1))),
-    so a solve is the classical fast Poisson solve.  pocketfft's result
-    does not depend on the BLAS thread count, which a dense sine matrix's
-    would.
+    Sine mode p of axis -2 turns the operator into the tridiagonal (1 + dt*lam + 2r + mu_p,
+    -r) along axis -1, with r = dt/h^2 and mu_p = 2r (1 - cos(pi p / (n - 1))).  The n - 2
+    modes are chained into one system of (n - 2)^2 unknowns, uncoupled at each mode boundary
+    and factored once.  pocketfft transforms each line and dpttrs solves each column alone,
+    and neither goes through BLAS, so the bits depend neither on K nor on the BLAS thread
+    count, which a dense sine matrix's would.
     """
 
     def __init__(self, grid: Grid, lam: float, dt: float):
         # imported here, so runs that never build a 2-d factor do not pay for it
-        from scipy.fft import dstn, idstn
+        from scipy.fft import dst, idst
 
         m = grid.n - 2
         r = dt / grid.h**2
         mu = 2.0 * r * (1.0 - np.cos(np.pi * np.arange(1, m + 1) / (m + 1)))
-        self._denom = 1.0 + dt * lam + mu[:, None] + mu[None, :]
-        self._dstn, self._idstn = dstn, idstn
+        e = np.full((m, m), -r)
+        e[:, -1] = 0.0  # the last node of mode p and the first of mode p + 1
+        self._factor(np.repeat(1.0 + dt * lam + 2.0 * r + mu, m), e.ravel())
+        self._dst, self._idst = dst, idst
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        axes = (-2, -1)
-        coef = self._dstn(rhs, type=1, axes=axes) / self._denom
-        return self._idstn(coef, type=1, axes=axes, overwrite_x=True)
+        coef = self._dst(rhs, type=1, axis=-2)  # C-ordered, so the (K, m^2) view solves in place
+        x = super().solve(coef.reshape(len(coef), -1)).reshape(coef.shape)
+        return self._idst(x, type=1, axis=-2, overwrite_x=True)
 
 
 @lru_cache(maxsize=64)

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import WindowExceededError
-from .report import _write_csv
+from .report import _rows, _write_csv
 
 #: default quadrature step for the exponential memory integrals
 DEFAULT_QUAD_STEP = 0.01
@@ -144,7 +144,7 @@ class WienerPath:
 
     def to_csv(self, path) -> None:
         """Write grid samples as CSV with columns t, omega."""
-        _write_csv(path, ("t", "omega"), zip(self.times.tolist(), self.samples.tolist()))
+        _write_csv(path, ("t", "omega"), _rows(self.times, self.samples))
 
     def __repr__(self) -> str:
         return (

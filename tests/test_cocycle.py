@@ -149,6 +149,27 @@ def test_memory_sums_match_exponential_weights():
     assert _memory_trapz(f, lam, dt) == pytest.approx(closed, rel=1e-12, abs=1e-15)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4096, 4097, 4098, 8193])
+def test_chunked_ledger_passes_match_whole_ledger_lists(tmp_path, n):
+    # _memory_trapz and the CSV rows walk a ledger _ROWS values at a time; both must give
+    # the bits of one pass over whole-ledger lists, also across the chunk boundaries
+    from stochrd.cocycle import _memory_trapz
+    from stochrd.report import _ROWS, _rows, _write_csv
+
+    assert _ROWS == 4096
+    lam, dt = 1.5, 1e-3
+    cols = np.random.default_rng(n).uniform(0.0, 2.0, (3, n))
+    q, half, vals = float(np.exp(-lam * dt)), 0.5 * dt, cols[0].tolist()
+    want, acc = [0.0], 0.0
+    for prev, cur in zip(vals, vals[1:]):
+        acc = q * acc + half * (cur + q * prev)
+        want.append(acc)
+    assert np.array_equal(_memory_trapz(cols[0], lam, dt), np.array(want))
+    _write_csv(tmp_path / "whole.csv", ("a", "b", "c"), zip(*cols.tolist()))
+    _write_csv(tmp_path / "rows.csv", ("a", "b", "c"), _rows(*cols))
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
 def test_energy_certificate_beyond_exponent_range():
     # lam * t = 750 > 709, where e^{lam t} overflows double precision
     grid = Grid(dim=1, half_width=8.0, n=17)

@@ -222,6 +222,25 @@ def test_binary_size_mismatch_names_file_and_sizes(tmp_path, cut, want):
     assert str(err.value) == f"field block {p}: {p.stat().st_size} bytes, {want}"
 
 
+@pytest.mark.parametrize("header, fault", [
+    ((3, 17, 4.0), "dim must be 1 or 2"),
+    ((1, 17, -4.0), "half_width must be positive and finite"),
+    ((1, 17, float("nan")), "half_width must be positive and finite"),
+    ((1, 17, float("inf")), "half_width must be positive and finite"),
+    ((1, 2, 4.0), "need at least 3 points per axis"),
+    ((2, 1, 4.0), "need at least 3 points per axis"),
+], ids=["dim-3", "negative-half-width", "nan-half-width", "inf-half-width", "1d-n-2", "2d-n-1"])
+def test_binary_bad_header_names_file_and_fault(tmp_path, header, fault):
+    # a header that gives no Grid fails before any size is compared, naming the file too
+    p = tmp_path / "f.bin"
+    dim, n, half_width = header
+    p.write_bytes(struct.pack("<IId", *header))
+    with pytest.raises(ValueError) as err:
+        read_field_block(p)
+    assert str(err.value) == (f"field block {p}: header dim={dim}, n={n}, "
+                              f"half_width={half_width!r}: {fault}")
+
+
 def test_csv_export(tmp_path):
     f = Field.from_function(G1, lambda x: x)
     p = tmp_path / "f.csv"

@@ -24,7 +24,7 @@ from stochrd import (
     solve_u_direct,
     solve_u_transform,
 )
-from stochrd.solver import _Column, _Direct, _integrate
+from stochrd.solver import _Column, _Direct, _integrate, _SineFactor, _SparseFactor
 
 G = Grid(dim=1, half_width=8.0, n=257)
 
@@ -159,6 +159,40 @@ def test_2d_transform_block_ignores_blas_threads(tmp_path):
         ends.append(np.load(out))
     assert ends[0].shape == (3, 129, 129) and np.all(np.isfinite(ends[0]))
     assert ends[0].tobytes() == ends[1].tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 5, 17, 33])
+@pytest.mark.parametrize("k", [1, 3])
+def test_sine_factor_matches_sparse_lu(n, k):
+    # one sine axis and one chained tridiagonal solve against the oracle's sparse LU, down
+    # to n = 3, where the chain is one mode of one unknown
+    grid = Grid(dim=2, half_width=4.0, n=n)
+    rhs = np.random.default_rng(n * k).uniform(-1.0, 1.0, (k,) + grid.shape)[:, 1:-1, 1:-1]
+    got = _SineFactor(grid, 0.7, 2e-3).solve(rhs)
+    want = _SparseFactor(grid, 0.7, 2e-3).solve(rhs)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_1d_transform_run_leaves_scipy_fft_unimported():
+    # the sine transform is imported when the first 2-d factor is built, so 1-d runs do not
+    # pay its import time and memory
+    script = textwrap.dedent("""
+        import sys
+        from stochrd import (Field, Grid, canonical_cubic, periodic_bump_forcing,
+                             sample_two_sided_path, solve_u_transform)
+
+        grid = Grid(dim=1, half_width=8.0, n=65)
+        spec = canonical_cubic(alpha=0.5, forcing=periodic_bump_forcing(0.05))
+        u0 = Field.from_function(grid, lambda x: 1.0 / (1.0 + x * x))
+        solve_u_transform(u0, 0.0, 0.1, sample_two_sided_path(1, 1.0, 1e-3), spec, 1e-3)
+        print(sorted(m for m in sys.modules if m.startswith("scipy.fft")))
+    """)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_pure_noise_transform_is_exact():
