@@ -38,7 +38,7 @@ import numpy as np
 
 from .fields import Field, l2_distance
 from .model import ModelSpec
-from .report import _ROWS, CertificateReport
+from .report import _ROWS, CertificateReport, _verdict
 from .solver import TrajectoryRecord, _Column, _integrate, solve_u_transform
 from .wiener import WienerPath, _whole_steps, shift_path
 
@@ -179,17 +179,9 @@ def energy_certificate(rec: TrajectoryRecord, spec: ModelSpec,
 
     lhs = rec.v_sq + _memory_trapz(damp, lam, dt)
     rhs = decay * rec.v_sq[0] + _memory_trapz(src, lam, dt)
-    margins = rhs - lhs
-    k = int(np.argmin(margins))
-    return CertificateReport(
-        name="energy",
-        passed=bool(margins[k] >= -tol),
-        worst_margin=float(margins[k]),
-        tolerance=tol,
-        location=float(rec.times[k]),
-        details={"c1": c1, "lam": lam, "alpha": rec.alpha, "scheme": rec.scheme,
-                 "n_steps": int(rec.times.size - 1)},
-    )
+    return _verdict("energy", rhs - lhs, rec.times, tol,
+                    {"c1": c1, "lam": lam, "alpha": rec.alpha, "scheme": rec.scheme,
+                     "n_steps": int(rec.times.size - 1)})
 
 
 def h1_certificate(rec: TrajectoryRecord, spec: ModelSpec, t_audit: float,
@@ -220,13 +212,6 @@ def h1_certificate(rec: TrajectoryRecord, spec: ModelSpec, t_audit: float,
     int_z = float(np.trapezoid(rec.z_sq[sl], dx=dt))
     lhs = float(rec.gradv_sq[ka])
     rhs = (1.0 + c1) * int_grad + int_zg + int_z
-    margin = rhs - lhs
-    return CertificateReport(
-        name="gradient-window",
-        passed=bool(margin >= -tol),
-        worst_margin=margin,
-        tolerance=tol,
-        location=float(t_audit),
-        details={"lhs": lhs, "rhs": rhs, "c1": c1, "int_grad": int_grad,
-                 "int_zg": int_zg, "int_z": int_z, "alpha": rec.alpha},
-    )
+    return _verdict("gradient-window", [rhs - lhs], [t_audit], tol,
+                    {"lhs": lhs, "rhs": rhs, "c1": c1, "int_grad": int_grad,
+                     "int_zg": int_zg, "int_z": int_z, "alpha": rec.alpha})

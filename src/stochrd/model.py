@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .fields import Field, Grid, _l2_sq_rows
-from .report import CertificateReport
+from .report import CertificateReport, _verdict
 from .wiener import _whole_steps, quad_exp
 
 _TWO_PI = 2.0 * math.pi
@@ -359,33 +359,15 @@ def validate_dissipativity(spec: ModelSpec) -> CertificateReport:
     }
 
     details: dict = {}
-    worst = np.inf
-    worst_cond = None
-    worst_loc = (0.0, 0.0)
     for cond, m in margins.items():
         idx = np.unravel_index(int(np.argmin(m)), m.shape)
-        cond_margin = float(m[idx])
-        details[cond] = {
-            "margin": cond_margin,
-            "x": float(X[idx]),
-            "s": float(S[idx]),
-            "pass": bool(cond_margin >= -tolerance),
-        }
-        if cond_margin < worst:
-            worst = cond_margin
-            worst_cond = cond
-            worst_loc = (float(X[idx]), float(S[idx]))
-
-    details["worst_condition"] = worst_cond
-    details["worst_x"] = worst_loc[0]
-    return CertificateReport(
-        name="dissipativity",
-        passed=bool(worst >= -tolerance),
-        worst_margin=float(worst),
-        tolerance=tolerance,
-        location=worst_loc[1],
-        details=details,
-    )
+        details[cond] = {"margin": float(m[idx]), "x": float(X[idx]), "s": float(S[idx]),
+                         "pass": bool(m[idx] >= -tolerance)}
+    worst = [details[cond]["margin"] for cond in margins]
+    cond = list(margins)[int(np.argmin(worst))]  # the condition _verdict reports
+    details["worst_condition"], details["worst_x"] = cond, details[cond]["x"]
+    return _verdict("dissipativity", worst, [details[c]["s"] for c in margins],
+                    tolerance, details)
 
 
 # -- tempered forcing checks --------------------------------------------------
@@ -414,8 +396,9 @@ def check_g_tempered(
     Finiteness: at every probe time tau the truncated memory integral at
     depth s_trunc and at depth 2*s_trunc must agree to relative growth
     0.02; relative growth beyond that is read as divergence and fails the
-    report (no exception).  Each probe's detail records the deep integral
-    times exp(delta * tau), or None where that factor overflows.
+    report (no exception), as does a NaN growth where both depths
+    overflow.  Each probe's detail records the deep integral times
+    exp(delta * tau), or None where that factor overflows.
 
     Decay: along the negative probe times (falling back to
     -s_trunc/4, -s_trunc/2, -3*s_trunc/4), the shifted expression
@@ -427,31 +410,28 @@ def check_g_tempered(
         raise ValueError("c_probe must be positive")
     if delta < 0:
         raise ValueError("delta must be nonnegative")
+    if not s_trunc > 0:
+        raise ValueError("s_trunc must be positive")
     probe_times = [float(t) for t in probe_times]
     details: dict = {"probes": {}}
-    worst = np.inf
-    worst_loc = None
-    ok = True
+    margins, where = [], []
 
     for tau in probe_times:
         i1 = _memory_integral(forcing, tau, delta, s_trunc, step, grid)
         i2 = _memory_integral(forcing, tau, delta, 2.0 * s_trunc, step, grid)
         scale = max(abs(i1), 1e-300)
         rel_growth = (i2 - i1) / scale
-        margin = growth_tol - rel_growth
         try:
             value = math.exp(delta * tau) * i2
         except OverflowError:  # a record only; no margin reads it
             value = None
+        margins.append(growth_tol - rel_growth)
+        where.append(tau)
         details["probes"][repr(tau)] = {
             "memory_integral": value,
             "relative_growth": rel_growth,
-            "margin": margin,
+            "margin": margins[-1],
         }
-        if margin < worst:
-            worst, worst_loc = margin, tau
-        if margin < 0:
-            ok = False
 
     decay_probes = sorted((t for t in probe_times if t < 0), reverse=True)
     if not decay_probes:
@@ -463,23 +443,7 @@ def check_g_tempered(
     details["decay_times"] = decay_probes
     details["decay_values"] = evals
     first = max(evals[0], 1e-300)
-    for a, b, t in zip(evals, evals[1:], decay_probes[1:]):
-        margin = (a - b) / first + 1e-12
-        if margin < worst:
-            worst, worst_loc = margin, t
-        if margin < 0:
-            ok = False
-    final_margin = decay_tol - evals[-1] / first
-    if final_margin < worst:
-        worst, worst_loc = final_margin, decay_probes[-1]
-    if final_margin < 0:
-        ok = False
-
-    return CertificateReport(
-        name="forcing-tempered",
-        passed=ok,
-        worst_margin=float(worst),
-        tolerance=0.0,
-        location=worst_loc,
-        details=details,
-    )
+    margins += [(a - b) / first + 1e-12 for a, b in zip(evals, evals[1:])]
+    margins.append(decay_tol - evals[-1] / first)
+    where += decay_probes[1:] + decay_probes[-1:]
+    return _verdict("forcing-tempered", margins, where, 0.0, details)

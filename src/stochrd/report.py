@@ -3,8 +3,10 @@
 Every inequality check in the package returns a CertificateReport rather
 than a bare bool, so that failures carry the worst margin and where it
 occurred.  Margins are signed: margin = (bound side) - (checked side),
-so a nonnegative margin means the inequality holds and pass means
-margin >= -tolerance.
+so a nonnegative margin means the inequality holds.  Every report reduces
+its margins by one rule (_verdict): the worst margin is the first NaN if
+there is one, else the first smallest, and pass means worst margin >=
+-tolerance, so a NaN margin fails.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import Any
+
+import numpy as np
 
 #: rows converted to Python numbers at a time, so no whole-ledger list is built
 _ROWS = 4096
@@ -40,6 +44,15 @@ class CertificateReport:
 
     def write_json(self, path) -> None:
         _write_json(path, self.to_json_dict())
+
+
+def _verdict(name, margins, where, tolerance, details) -> CertificateReport:
+    """The report on margins, margins[k] found at where[k].  np.argmin picks the first
+    NaN if there is one, else the first smallest margin; a NaN compares false, so fails."""
+    k = int(np.argmin(margins))
+    return CertificateReport(name=name, passed=bool(margins[k] >= -tolerance),
+                             worst_margin=float(margins[k]), tolerance=tolerance,
+                             location=float(where[k]), details=details)
 
 
 def _write_json(path, obj) -> None:

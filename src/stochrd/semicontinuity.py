@@ -38,16 +38,15 @@ from .attractor import (
 )
 from .fields import Field, Grid, _l2_sq_rows
 from .model import ModelSpec
-from .report import CertificateReport, _write_csv, _write_json
+from .report import CertificateReport, _verdict, _write_csv, _write_json
 from .solver import _Column, _integrate
-from .wiener import _GRID_RTOL, WienerPath, _window, sample_two_sided_path
+from .wiener import WienerPath, _snap, _window, sample_two_sided_path
 
 
 def path_smallness(path: WienerPath, alpha: float, t_lo: float, t_hi: float) -> float:
     """eps(alpha) = sup over grid times in [t_lo, t_hi] of |e^{aw} - 1| + |e^{-aw} - 1|."""
-    times = path.times
-    slack = _GRID_RTOL * path.grid_step
-    mask = (times >= t_lo - slack) & (times <= t_hi + slack)
+    k = _snap(path.times / path.grid_step)
+    mask = (k >= _snap(t_lo / path.grid_step)) & (k <= _snap(t_hi / path.grid_step))
     if not np.any(mask):
         raise ValueError(f"no grid time of the path in [{t_lo!r}, {t_hi!r}]")
     w = path.samples[mask]
@@ -116,26 +115,19 @@ def uniform_bound_check(tau: float, path: WienerPath, alphas: Sequence[float],
     r = uniform_radius(tau, path, spec, absorbing, grid)
     margins = {}
     gaps = []
-    worst = np.inf
-    loc = None
     for a in alphas:
         ma = absorbing_radius(tau, path, a, spec, absorbing, grid)
         margins[repr(a)] = r - ma
         gaps.append(abs(ma - m0))
-        if r - ma < worst:
-            worst, loc = r - ma, a
     decreasing = all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
-    passed = bool(worst >= 0.0 and decreasing)
-    return CertificateReport(
-        name="uniform-bound", passed=passed, worst_margin=float(worst),
-        tolerance=0.0, location=loc,
-        details={
-            "deterministic_radius": m0, "envelope_radius": r,
-            "domination_margins": margins,
-            "gaps": {repr(a): g for a, g in zip(alphas, gaps)},
-            "gaps_strictly_decreasing": decreasing,
-        },
-    )
+    rep = _verdict("uniform-bound", list(margins.values()), alphas, 0.0, {
+        "deterministic_radius": m0, "envelope_radius": r,
+        "domination_margins": margins,
+        "gaps": {repr(a): g for a, g in zip(alphas, gaps)},
+        "gaps_strictly_decreasing": decreasing,
+    })
+    rep.passed = rep.passed and decreasing
+    return rep
 
 
 # -- the alpha sweep -------------------------------------------------------------

@@ -14,8 +14,9 @@ Shift composition is bit-exact here because a shifted path shares the
 immutable base sample array of its parent and only moves the anchor
 index; values are always formed as a single subtraction against the
 anchor sample.  Between grid points the path is interpolated linearly,
-which keeps every evaluation a measurable function of finitely many
-Gaussian increments.
+at a position counted in steps from the anchor (t = 0), so no value
+depends on the sampled window, and every evaluation is a measurable
+function of finitely many Gaussian increments.
 
 Evaluating or shifting outside the sampled window raises
 WindowExceededError rather than extrapolating.
@@ -35,18 +36,26 @@ from .report import _rows, _write_csv
 #: default quadrature step for the exponential memory integrals
 DEFAULT_QUAD_STEP = 0.01
 
-#: relative tolerance for "lies on the time grid" checks, shared package-wide
+#: relative tolerance of the package's one on-grid rule, read only by _snap
 _GRID_RTOL = 1e-9
+
+
+def _snap(k):
+    """k (a count of steps, scalar or array) moved to the nearest whole number where it
+    lies within _GRID_RTOL * max(1, |k|) of it: the package's one on-grid rule."""
+    near = np.round(k)
+    with np.errstate(invalid="ignore"):  # inf - inf: an infinite k stays as it is
+        return np.where(np.abs(k - near) <= _GRID_RTOL * np.maximum(1.0, np.abs(k)), near, k)
 
 
 def _window(span: float, step: float, what: str) -> float:
     """span rounded up to whole steps of step; ValueError naming what unless step > 0.
-    A span within _GRID_RTOL * max(1, |k|) of k whole steps comes back as it is, so a
-    path drawn over it keeps its step count and its bits."""
+    A span that _snap puts on k whole steps comes back as it is, so a path drawn over
+    it keeps its step count and its bits."""
     if not step > 0:
         raise ValueError(f"{what}: step {step!r} must be positive")
-    k = span / step
-    return span if abs(k - round(k)) <= _GRID_RTOL * max(1.0, abs(k)) else math.ceil(k) * step
+    k = float(_snap(span / step))
+    return span if k.is_integer() else math.ceil(k) * step
 
 
 def _whole_steps(span: float, step: float, what: str) -> int:
@@ -118,25 +127,19 @@ class WienerPath:
 
     def value_at(self, t):
         """Path value at time(s) t, linearly interpolated between grid points."""
-        t_arr = np.asarray(t, dtype=float)
-        lo, hi = self.t_min, self.t_max
-        slack = _GRID_RTOL * self.grid_step
-        if np.any(t_arr < lo - slack) or np.any(t_arr > hi + slack):
+        b, i0 = self._base, self._i0
+        # steps from the anchor, snapped so a grid time returns its sample bit-exactly
+        k = _snap(np.asarray(t, dtype=float) / self.grid_step)
+        if not np.all((k >= -i0) & (k <= b.size - 1 - i0)):  # NaN fails too
             raise WindowExceededError(
-                f"evaluation outside sampled window [{lo:.6g}, {hi:.6g}]"
+                f"evaluation outside sampled window [{self.t_min:.6g}, {self.t_max:.6g}]"
             )
-        b = self._base
-        pos = (t_arr - lo) / self.grid_step
-        # snap near-integer positions so grid-time evaluations return the
-        # stored sample bit-exactly instead of a reinterpolated value
-        posr = np.round(pos)
-        snap = np.abs(pos - posr) <= _GRID_RTOL * np.maximum(1.0, np.abs(posr))
-        pos = np.where(snap, posr, pos)
-        pos = np.clip(pos, 0.0, b.size - 1.0)
         # np.interp's arithmetic, on the bracketing pair only
-        j = pos.astype(np.intp)
-        out = (b[np.minimum(j + 1, b.size - 1)] - b[j]) * (pos - j) + b[j] - b[self._i0]
-        if t_arr.ndim == 0:
+        j = np.floor(k)
+        i = i0 + j.astype(np.intp)
+        lo = b[i]
+        out = (b[np.minimum(i + 1, b.size - 1)] - lo) * (k - j) + lo - b[i0]
+        if out.ndim == 0:
             return float(out)
         return out
 
@@ -245,7 +248,7 @@ def sublinearity_report(path: WienerPath, t_min: float) -> SublinearityReport:
     if not t_min > 0:
         raise ValueError("t_min must be positive")
     times = path.times
-    mask = np.abs(times) >= t_min - _GRID_RTOL * path.grid_step
+    mask = np.abs(_snap(times / path.grid_step)) >= _snap(t_min / path.grid_step)
     if not np.any(mask):
         raise ValueError("no grid times with |t| >= t_min in the window")
     t_sel = times[mask]

@@ -1,6 +1,7 @@
 """The public API is exactly what __all__ lists, so any change to it shows in a diff;
-every private module-level name is used somewhere in the package; and every default of
-the public API is overridden by some caller."""
+every private module-level name is used somewhere in the package; every default of
+the public API is overridden by some caller; and the on-grid tolerance and the
+certificate verdict each live in one function."""
 
 import ast
 import dataclasses
@@ -112,3 +113,27 @@ def test_every_default_has_a_caller():
             if param.kind is param.KEYWORD_ONLY or not any(c > i for c in counts[callee]):
                 unset.append(f"{label}({param.name})")
     assert unset == []
+
+
+def _loaded_in(name: str, called: bool = False) -> list[str]:
+    """module.definition for each top-level definition of the package that reads name,
+    or, with called set, calls it; the bare module for any other top-level statement."""
+    found = []
+    for path in sorted(Path(stochrd.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            nodes = ([n.func for n in ast.walk(stmt) if isinstance(n, ast.Call)] if called
+                     else ast.walk(stmt))
+            if any(isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load)
+                   for n in nodes):
+                found.append(f"{path.stem}.{stmt.name}" if hasattr(stmt, "name") else path.stem)
+    return found
+
+
+def test_grid_tolerance_is_read_only_by_snap():
+    # one on-grid rule: every window, evaluation and mask goes through _snap
+    assert _loaded_in("_GRID_RTOL") == ["wiener._snap"]
+
+
+def test_reports_are_built_only_by_verdict():
+    # one verdict rule: the first NaN, else the first smallest margin, is the worst
+    assert _loaded_in("CertificateReport", called=True) == ["report._verdict"]

@@ -98,6 +98,15 @@ def test_zero_intensity_radius_matches_deterministic():
     assert absorbing_radius(1.5, p, 0.0, SPEC, ab, G) == deterministic_radius(1.5, SPEC, ab, G)
 
 
+def test_off_grid_radius_does_not_depend_on_the_window():
+    # quadrature nodes on 0.01 fall between the 0.004 grid times; one draw over
+    # different windows gives the same radius bits
+    ab = AbsorbingSpec(c_abs=2.0, s_trunc=2.0, step=0.01)
+    radii = {absorbing_radius(0.0, sample_two_sided_path(3, span, 4e-3), 0.5, SPEC, ab, G)
+             for span in (2.004, 3.0, 4.0, 5.252, 8.0)}
+    assert len(radii) == 1
+
+
 def test_radius_homogeneous_in_c():
     p = sample_two_sided_path(5, 50.0, 1e-2)
     one = absorbing_radius(0.0, p, 0.5, SPEC, AbsorbingSpec(c_abs=1.0), G)

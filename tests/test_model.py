@@ -232,3 +232,41 @@ def test_tempered_check_validation():
         check_g_tempered(forcing, delta=0.5, c_probe=0.0, probe_times=[0.0], grid=G)
     with pytest.raises(ValueError):
         check_g_tempered(forcing, delta=-0.1, c_probe=1.0, probe_times=[0.0], grid=G)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.5])
+@pytest.mark.parametrize("s_trunc", [0.0, -1.0])
+def test_tempered_check_needs_a_positive_depth(delta, s_trunc):
+    # at delta = 0 a depth of 0 integrated nothing and passed
+    with pytest.raises(ValueError, match="s_trunc must be positive"):
+        check_g_tempered(periodic_bump_forcing(0.05), delta=delta, c_probe=1.0,
+                         probe_times=[0.0], grid=G, s_trunc=s_trunc)
+
+
+def test_nan_reaction_fails_dissipativity():
+    # every condition is NaN at |s| > 9.9; the report passed with an infinite margin
+    import dataclasses
+    spec = dataclasses.replace(canonical_cubic(), f=Nonlinearity(
+        "custom", fn=lambda x, s: np.where(np.abs(s) > 9.9, np.nan, -s**3)))
+    with np.errstate(invalid="ignore"):
+        rep = validate_dissipativity(spec)
+    assert not rep.passed
+    assert np.isnan(rep.worst_margin)
+    assert rep.details["worst_condition"] == "dissipativity"
+    assert rep.location == -10.0
+    assert not any(rep.details[c]["pass"] for c in (
+        "dissipativity", "growth", "one-sided-slope", "x-derivative", "slope-growth"))
+
+
+def test_overflowing_memory_integral_fails_tempered_check():
+    # e^{-4(s + tau)} outgrows e^{delta s} for delta < 4: both depths overflow to inf at
+    # tau = -200, so the growth margin is NaN; the report passed with location None
+    forcing = ForcingSpec("custom", amplitude=1.0, profile=Profile("constant"),
+                          modulation=lambda t: np.exp(-2.0 * np.asarray(t)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = check_g_tempered(forcing, delta=0.5, c_probe=1.0, probe_times=[-200.0],
+                               grid=Grid(dim=1, half_width=8.0, n=65))
+    assert np.isnan(rep.details["probes"][repr(-200.0)]["margin"])
+    assert not rep.passed
+    assert np.isnan(rep.worst_margin)
+    assert rep.location == -200.0

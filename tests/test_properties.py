@@ -1,8 +1,9 @@
 """Property tests of exact invariants: block deviation, the record ledger, the block
 periodicity and cocycle checks, the 2-d sine solve, shift group law, field IO, the
-whole-step rule and the path window, the norm kernels, the weight cocycle and the sign
-of margins."""
+whole-step rule and the path window, the norm kernels, the weight cocycle, the sign
+of margins and the one verdict rule of every report."""
 
+import dataclasses
 import os
 import tempfile
 from unittest import mock
@@ -17,11 +18,15 @@ from stochrd import (
     AbsorbingSpec,
     CocycleQuery,
     Field,
+    ForcingSpec,
     Grid,
+    Nonlinearity,
+    Profile,
     TemperedFamilySpec,
     WienerPath,
     attractor_periodicity_check,
     canonical_cubic,
+    check_g_tempered,
     cocycle_law_defect,
     deviation_check,
     energy_certificate,
@@ -39,6 +44,8 @@ from stochrd import (
     shift_path,
     solve_u_transform,
     tail_mass,
+    uniform_bound_check,
+    validate_dissipativity,
     write_field_block,
     z_value,
 )
@@ -46,6 +53,7 @@ from stochrd import solver
 from stochrd.attractor import _dedup
 from stochrd.fields import _h1_sq_rows, _l2_distances, _l2_sq_rows, _lp_p_rows
 from stochrd.model import _memory_integral
+from stochrd.report import _verdict
 from stochrd.solver import (_Column, _Direct, _integrate, _records, _SineFactor,
                            _SparseFactor, _Transform)
 from stochrd.wiener import _whole_steps, _window
@@ -359,3 +367,57 @@ def test_margin_sign_convention(alpha, steps, scale, tolerance):
         assert rep.passed == (rep.worst_margin >= -rep.tolerance)
         # a margin exactly at minus the tolerance passes
         assert check(-rep.worst_margin).passed
+
+
+@settings(max_examples=200, deadline=None)
+@given(margins=st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 3.0]) | st.floats(-5.0, 5.0),
+                        min_size=1, max_size=12),
+       data=st.data(), tolerance=st.sampled_from([0.0, 0.5, 1.0]))
+def test_verdict_takes_the_first_nan_else_the_first_minimum(margins, data, tolerance):
+    # sampled values give ties; NaN lands on a drawn subset of places
+    nan_at = data.draw(st.sets(st.integers(0, len(margins) - 1)))
+    margins = [np.nan if i in nan_at else m for i, m in enumerate(margins)]
+    where = [float(10 * i) for i in range(len(margins))]
+    for given_as in (margins, np.array(margins)):
+        rep = _verdict("r", given_as, where, tolerance, {})
+        k = min(nan_at) if nan_at else margins.index(min(margins))
+        assert rep.location == where[k]
+        assert np.array_equal(rep.worst_margin, margins[k], equal_nan=True)
+        assert rep.passed == (not nan_at and min(margins) >= -tolerance)
+    # a margin of exactly minus the tolerance passes
+    assert _verdict("r", [1.0, -tolerance], [0.0, 1.0], tolerance, {}).passed
+
+
+@pytest.mark.parametrize("reaction", ["cubic", "anticubic"])
+def test_margin_sign_convention_of_dissipativity(reaction):
+    rep = validate_dissipativity(dataclasses.replace(canonical_cubic(), f=Nonlinearity(reaction)))
+    assert rep.passed == (rep.worst_margin >= -rep.tolerance) == (reaction == "cubic")
+    # the worst condition's own record carries the report's margin and location
+    worst = rep.details[rep.details["worst_condition"]]
+    assert worst["margin"] == rep.worst_margin
+    assert (worst["x"], worst["s"]) == (rep.details["worst_x"], rep.location)
+
+
+@pytest.mark.parametrize("rate", [0.0, -2.0], ids=["constant", "divergent"])
+def test_margin_sign_convention_of_forcing_tempered(rate):
+    probe_times = [0.0, -10.0, -20.0]
+    forcing = ForcingSpec("custom", amplitude=1.0, profile=Profile("constant"),
+                          modulation=lambda t: np.exp(rate * np.asarray(t)))
+    rep = check_g_tempered(forcing, delta=0.5, c_probe=1.0, probe_times=probe_times,
+                           grid=Grid(dim=1, half_width=8.0, n=65), s_trunc=10.0)
+    assert rep.passed == (rep.worst_margin >= -rep.tolerance) == (rate == 0.0)
+    assert rep.location in probe_times
+
+
+@pytest.mark.parametrize("zero_path", [False, True], ids=["sampled", "zero"])
+def test_margin_sign_convention_of_uniform_bound(zero_path):
+    # on the zero path every M_alpha equals M_0, so the gaps tie and the report fails
+    grid = Grid(dim=1, half_width=4.0, n=17)
+    path = sample_two_sided_path(1, 6.0, 1e-2)
+    if zero_path:
+        path = WienerPath.from_samples(np.zeros(path.times.size), 1e-2, path.t_min)
+    alphas = [0.5, 0.25, 0.0]
+    rep = uniform_bound_check(0.0, path, alphas, SPEC, AbsorbingSpec(s_trunc=5.0), grid)
+    assert rep.passed == (rep.worst_margin >= 0.0 and rep.details["gaps_strictly_decreasing"])
+    assert rep.passed != zero_path
+    assert rep.worst_margin == min(rep.details["domination_margins"].values())

@@ -13,7 +13,7 @@ from stochrd import (
     sublinearity_report,
     z_value,
 )
-from stochrd.wiener import _GRID_RTOL
+from stochrd.wiener import _snap
 
 
 def test_anchored_at_zero():
@@ -187,17 +187,26 @@ def test_csv_roundtrip(tmp_path):
 
 def test_value_at_matches_np_interp():
     p = sample_two_sided_path(3, 54.25, 1e-3)
-    base, anchor = p._base, p._base[p._i0]
+    base, i0 = p._base, p._i0
 
     def reference(t):
-        pos = (t - p.t_min) / p.grid_step
-        near = np.round(pos)
-        pos = np.where(np.abs(pos - near) <= _GRID_RTOL * np.maximum(1.0, np.abs(near)), near, pos)
-        pos = np.clip(pos, 0.0, base.size - 1.0)
-        return np.interp(pos, np.arange(base.size), base) - anchor
+        # steps counted from the anchor, not from the window's left end
+        k = _snap(t / p.grid_step)
+        return np.interp(k, np.arange(base.size) - i0, base) - base[i0]
 
     off_grid = np.random.default_rng(0).uniform(p.t_min, p.t_max, 5000)
     for t in (off_grid, p.times, np.array([p.t_min, p.t_max])):
         assert np.array_equal(p.value_at(t), reference(t))
     for t in off_grid[:50]:
         assert p.value_at(float(t)) == reference(t)
+
+
+def test_value_at_does_not_depend_on_the_window():
+    # one draw over two windows: equal bits between grid times as well as on them
+    short, wide = (sample_two_sided_path(5, span, 4e-3) for span in (3.0, 4.0))
+    t = np.random.default_rng(1).uniform(-3.0, 3.0, 2000)
+    assert np.array_equal(short.value_at(t), wide.value_at(t))
+    assert short.value_at(3.0) == short.samples[-1]
+    for bad in (np.nan, [0.0, np.nan], np.inf):
+        with pytest.raises(WindowExceededError):
+            short.value_at(bad)
