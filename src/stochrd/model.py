@@ -114,10 +114,10 @@ class Nonlinearity:
     family 'custom'    : user callable fn(x, s); its slopes are central
                          differences
 
-    The solvers step f through _kernel(x), bound once to the nodes x they step:
-    (sign, react), where react(u, c, out) writes the bits of k * value(x, u) into
-    out (not overlapping u) for c = sign * k.  The cubics scale (u*u)*u by c
-    (negation is exact), 'zero' fills out with 0, 'custom' writes c * value(x, u).
+    The solvers step f through _kernel(x), bound once to the interior nodes x, in 2-d too:
+    (sign, react), where react(u, c, out) writes the bits of k * value(x, u) into out (not
+    overlapping u) for c = sign * k.  The cubics scale (u*u)*u by c (negation is exact),
+    'zero' fills out with 0, 'custom' writes c * value(x, u): fn gets interior coordinates.
     """
 
     family: str = "cubic"

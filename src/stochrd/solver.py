@@ -31,14 +31,13 @@ per join, which steps a whole segment of buffer rows: coefficients are
 prebuilt rows (a float for one column, an (a, 1[, 1]) view for a > 1),
 the reaction is its family's in-place kernel and the forcing one
 product per segment, so a step is a few in-place ufunc calls and one
-solve for the whole active block.  In 1-d that is LAPACK dpttrs
-(dpttrf prefactored and cached) in place, on the destination row's
-interior for one column, else on a C-ordered (K, n - 2) block; in 2-d
-one type-I sine transform along one axis of the interior of a whole
-(K, n, n) block, one chained dpttrs solve along the other and the
-inverse transform (Hockney's method; ufuncs on the strided interior
-slowed 2-d runs).  No column's arithmetic depends on another, so column j
-equals a K = 1 run bit for bit.
+solve for the whole active block.  A buffer row holds interior nodes
+only, a C-ordered (K,) + interior block: the right-hand side is
+assembled in the destination row and solved there, in 1-d by LAPACK
+dpttrs (dpttrf prefactored and cached), in 2-d by one type-I sine
+transform along one axis, one chained dpttrs solve along the other and
+the inverse transform (Hockney's method).  No column's arithmetic
+depends on another, so column j equals a K = 1 run bit for bit.
 Weights and forcing amplitudes are tabulated per column in windows of
 _WINDOW steps counted back from the common end, so the tables stay
 small at any horizon and a column sees the same windows alone as in a
@@ -48,8 +47,9 @@ transform route; each scheme names its factor per dimension in its
 `factors` pair.
 
 Steps write a buffer of consecutive states (at most _CHUNK floats, never
-across a table window); the finite check and the observe hook of
-_integrate run once per buffer, one row-kernel call per quantity.  Every
+across a table window), copied once per buffer into a padded mirror that
+keeps the boundary ring; the finite check and the observe hook of
+_integrate read the mirror, one row-kernel call per quantity.  Every
 record, a single run's too, is one _records block whose one observer
 fills the per-step ledgers (|v|^2, |grad v|^2, z^2 |u|_p^p, z^2, |g|^2)
 for the energy and gradient certificates.  A non-finite state aborts
@@ -80,8 +80,9 @@ _CHUNK = 2**16
 
 # -- implicit operator -----------------------------------------------------
 #
-# Each factor holds (I + dt*(lam - laplace)) on interior nodes and solves
-# it for every row of a (K, interior...) block.
+# Each factor holds (I + dt*(lam - laplace)) on interior nodes; solve(b) overwrites
+# every row of a (K, interior...) block b with its solution and returns b, solved in b's
+# own buffer when b is C-ordered, else in a copy that is copied back.
 
 
 class _TridiagonalFactor:
@@ -101,10 +102,13 @@ class _TridiagonalFactor:
         self._d, self._e = d, e
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        x, info = dpttrs(self._d, self._e, b.T, overwrite_b=True)
+        bt = b.T  # Fortran-ordered for a C-ordered b, which dpttrs then solves in place
+        x, info = dpttrs(self._d, self._e, bt, overwrite_b=True)
         if info != 0:
             raise np.linalg.LinAlgError(f"dpttrs failed with info={info}")
-        return x.T
+        if x is not bt:  # f2py solved a copy
+            b[...] = x.T
+        return b
 
 
 class _BandedFactor:
@@ -119,10 +123,13 @@ class _BandedFactor:
         self._cb = cholesky_banded(ab)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        x, info = dpbtrs(self._cb, b.T, lower=0, overwrite_b=True)
+        bt = b.T
+        x, info = dpbtrs(self._cb, bt, lower=0, overwrite_b=True)
         if info != 0:
             raise np.linalg.LinAlgError(f"dpbtrs failed with info={info}")
-        return x.T
+        if x is not bt:  # f2py solved a copy
+            b[...] = x.T
+        return b
 
 
 class _SparseFactor:
@@ -139,9 +146,9 @@ class _SparseFactor:
         a = (1.0 + dt * lam) * sp.eye(m * m) + lap
         self._lu = splu(a.tocsc())
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        k = rhs.shape[0]
-        return self._lu.solve(rhs.reshape(k, -1).T).T.reshape(rhs.shape)
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        b[...] = self._lu.solve(b.reshape(len(b), -1).T).T.reshape(b.shape)
+        return b
 
 
 class _SineFactor(_TridiagonalFactor):
@@ -169,10 +176,13 @@ class _SineFactor(_TridiagonalFactor):
         self._factor(np.repeat(1.0 + dt * lam + 2.0 * r + mu, m), e.ravel())
         self._dst, self._idst = dst, idst
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        coef = self._dst(rhs, type=1, axis=-2)  # C-ordered, so the (K, m^2) view solves in place
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        coef = self._dst(b, type=1, axis=-2, overwrite_x=True)  # b's buffer for a C-ordered b
         x = super().solve(coef.reshape(len(coef), -1)).reshape(coef.shape)
-        return self._idst(x, type=1, axis=-2, overwrite_x=True)
+        x = self._idst(x, type=1, axis=-2, overwrite_x=True)
+        if not np.may_share_memory(b, x):  # solved in a copy
+            b[...] = x
+        return b
 
 
 @lru_cache(maxsize=64)
@@ -260,35 +270,35 @@ def _tables(cols, starts, spec: ModelSpec, dt: float, lo: int, hi: int):
 
 
 class _Scheme:
-    """One IMEX step (reaction, forcing, implicit solve), the v, u views of its states and
-    buf, the (rows, K) + grid-shape buffer of states.  runner(tab, a) returns run(r0, r1, i,
-    prev), the steps of the first a columns into buffer rows r0..r1 - 1: row r0 from row
-    prev, each later row from the one before, row r at table row i + r."""
+    """One IMEX step (reaction, forcing, implicit solve), the v, u views of its states, buf,
+    the (rows, K) + interior buffer of states, and full, its padded mirror, which keeps the
+    ring.  runner(tab, a) returns run(r0, r1, i, prev), the steps of the first a columns into
+    buffer rows r0..r1 - 1: row r0 from row prev, each later row from the one before, row r
+    at table row i + r, each solved in place in its C-ordered row."""
 
     #: implicit factor per dimension, 1-d then 2-d
     factors: tuple = (_TridiagonalFactor, _SineFactor)
 
     def __init__(self, spec: ModelSpec, grid: Grid, dt: float, alphas):
         self.dt, self.alphas = dt, alphas
-        self.inner = (slice(None),) + (slice(1, -1),) * grid.dim
+        self.inner = (...,) + (slice(1, -1),) * grid.dim
         self.solve = _implicit_factor(grid, spec.lam, dt, self.factors).solve
-        # A step computes on the interior in 1-d, where dpttrs and dpbtrs solve a C-ordered
-        # (a, n - 2) block in place (its transpose is their Fortran layout); in 2-d on all of
-        # the contiguous (a, n, n) block, where ufuncs run 4-5x faster than on its interior
-        self.nodes, self.unknowns = ((self.inner, (...,)) if grid.dim == 1
-                                     else ((...,), self.inner))
-        shape = (len(alphas),) + (grid.shape if grid.dim == 2 else (grid.n - 2,))
+        shape = (len(alphas),) + (grid.n - 2,) * grid.dim
         # preallocated, as fresh blocks per step let glibc trim and refault: w holds u (the
-        # noise term on the direct route), t the reaction, then the rhs unless it is in place
+        # noise term on the direct route), t the reaction
         self.w, self.t = np.empty(shape), np.empty(shape)
-        self.buf = np.zeros((max(1, min(_WINDOW, _CHUNK // (len(alphas) * grid.n**grid.dim))),
-                             len(alphas)) + grid.shape)
-        self.sign, self.react = spec.f._kernel(grid.coords() if grid.dim == 2 else grid.axis[1:-1])
-        self.profile = None if spec.g.is_zero() else spec.g.profile.on_grid(grid)[self.nodes[1:]]
-        self.forcing = None if self.profile is None else np.empty((len(self.buf),) + shape)
+        rows = max(1, min(_WINDOW, _CHUNK // (len(alphas) * grid.n**grid.dim)))
+        self.buf = np.empty((rows,) + shape)
+        self.full = np.zeros((rows, len(alphas)) + grid.shape)
+        x = np.asarray(grid.coords())[self.inner]  # reaction and forcing: interior nodes only
+        self.sign, self.react = spec.f._kernel(x if grid.dim == 1 else tuple(x))
+        # a copy: a product with the strided 2-d interior view took 4x as long
+        self.profile = (None if spec.g.is_zero()
+                        else spec.g.profile.on_grid(grid)[self.inner].copy())
+        self.forcing = None if self.profile is None else np.empty(self.buf.shape)
         # broadcast one scalar per column over the field axes
         self.col = (Ellipsis,) + (None,) * grid.dim
-        self.views = {}  # per active width: every buffer row's stepped nodes and interior
+        self.views = {}  # per active width: the first a columns of every buffer row
 
     def v(self, block, tab, rows):  # a (rows, K, ...) block at table rows `rows`
         return block
@@ -301,26 +311,19 @@ class _Scheme:
 
     def runner(self, tab, a):
         if a not in self.views:
-            full = [self.buf[r, :a] for r in range(len(self.buf))]
-            self.views[a] = [row[self.nodes] for row in full], [row[self.inner] for row in full]
-        nodes, inner = self.views[a]
-        rhs, solve, t, b = self.rhs(tab, a), self.solve, self.t[:a], self.t[:a][self.unknowns]
-        # a one-column 1-d interior is contiguous: its rhs is assembled and solved in place
-        in_place = a == 1 and self.nodes is self.inner
+            self.views[a] = list(self.buf[:, :a])
+        rows, rhs, solve = self.views[a], self.rhs(tab, a), self.solve
         coeff = None if self.profile is None else getattr(tab, self.amp)[:, :a][self.col]
 
         def run(r0, r1, i, prev):
             terms = () if coeff is None else np.multiply(  # the segment's forcing terms
                 coeff[i + r0:i + r1], self.profile, out=self.forcing[:r1 - r0, :a])
             for r in range(r0, r1):
-                dst = inner[r]
-                out = dst if in_place else t
-                rhs(i + r, nodes[prev], out)
+                dst = rows[r]
+                rhs(i + r, rows[prev], dst)
                 if coeff is not None:
-                    np.add(out, terms[r - r0], out=out)
-                x = solve(dst if in_place else b)
-                if not in_place:
-                    dst[...] = x
+                    np.add(dst, terms[r - r0], out=dst)
+                solve(dst)
                 prev = r
 
         return run
@@ -408,20 +411,22 @@ def _integrate(columns, spec: ModelSpec, grid: Grid, dt: float, scheme: type = _
     starts = [n_max - ns[j] for j in order] + [n_max + 1]  # one past the end: all joined
     sch = scheme(spec, grid, dt, np.array([c.alpha for c in cols]))
     # buffer row r holds the state at ledger index g + r of the current chunk
-    buf = sch.buf
+    buf, full = sch.buf, sch.full
     active = 0
     prev_sq = np.empty(0)  # the last checked state's |v|^2, all finite
 
     def join(g, tab, i):
         nonlocal active
         while starts[active] == g:
-            # every row, so the boundary nodes, which steps never write, stay in place
-            buf[:, active] = sch.start(cols[active].u_init, tab, i, active)
+            # every row: a column holds its first state until it starts; the mirror keeps its ring
+            full[:, active] = sch.start(cols[active].u_init, tab, i, active)
+            buf[:, active] = full[:, active][sch.inner]
             active += 1
 
     def check(g, m, tab, i):
         nonlocal prev_sq
-        block, rows = buf[:m, :active], slice(i, i + m)
+        block, rows = full[:m, :active], slice(i, i + m)
+        block[sch.inner] = buf[:m, :active]  # the chunk's interiors into the mirror
         v = sch.v(block, tab, rows)
         v_sq = _l2_sq_rows(v.reshape((-1,) + grid.shape), grid).reshape(m, active)
         u = None if observe is None else sch.u(block, tab, rows)
@@ -464,7 +469,7 @@ def _integrate(columns, spec: ModelSpec, grid: Grid, dt: float, scheme: type = _
                         run = sch.runner(tab, active)
                 check(g + 1, m, tab, g + 1 - lo)
                 last = m - 1
-        v, u = (f(buf[last:last + 1], tab, slice(n_max - lo, None))[0] for f in (sch.v, sch.u))
+        v, u = (f(full[last:last + 1], tab, slice(n_max - lo, None))[0] for f in (sch.v, sch.u))
     back = np.argsort(order)
     return v[back], u[back]
 

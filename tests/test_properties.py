@@ -179,14 +179,15 @@ grid_steps = st.integers(-200, 200)  # the window of PATH is [-200, 200] steps
        dt=st.floats(1e-4, 0.1), seed=st.integers(0, 2**32 - 1))
 def test_sine_solve_matches_sparse_lu(n, k, lam, dt, seed):
     grid = Grid(dim=2, half_width=4.0, n=n)
-    # the interior view of a (K, n, n) state block, as the core passes it
+    # the strided interior of a (K, n, n) block, which a factor solves in a copy and copies
+    # back; each solve overwrites its block, so every other solve gets a copy
     rhs = np.random.default_rng(seed).uniform(-1.0, 1.0, (k,) + grid.shape)[:, 1:-1, 1:-1]
-    sine = _SineFactor(grid, lam, dt)
+    sine, want = _SineFactor(grid, lam, dt), _SparseFactor(grid, lam, dt).solve(rhs.copy())
+    ones = [sine.solve(rhs[j:j + 1].copy())[0] for j in range(k)]  # C-ordered: in place
     got = sine.solve(rhs)
-    want = _SparseFactor(grid, lam, dt).solve(rhs)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     for j in range(k):
-        assert np.array_equal(got[j], sine.solve(rhs[j:j + 1])[0]), f"column {j}"
+        assert np.array_equal(got[j], ones[j]), f"column {j}"
 
 
 @settings(max_examples=100, deadline=None)

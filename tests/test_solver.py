@@ -24,7 +24,8 @@ from stochrd import (
     solve_u_direct,
     solve_u_transform,
 )
-from stochrd.solver import _Column, _Direct, _integrate, _SineFactor, _SparseFactor
+from stochrd.solver import (_BandedFactor, _Column, _Direct, _integrate, _SineFactor,
+                            _SparseFactor, _TridiagonalFactor)
 
 G = Grid(dim=1, half_width=8.0, n=257)
 
@@ -168,9 +169,39 @@ def test_sine_factor_matches_sparse_lu(n, k):
     # to n = 3, where the chain is one mode of one unknown
     grid = Grid(dim=2, half_width=4.0, n=n)
     rhs = np.random.default_rng(n * k).uniform(-1.0, 1.0, (k,) + grid.shape)[:, 1:-1, 1:-1]
+    # each factor overwrites the block it solves, so the oracle gets its own copy
+    want = _SparseFactor(grid, 0.7, 2e-3).solve(rhs.copy())
     got = _SineFactor(grid, 0.7, 2e-3).solve(rhs)
-    want = _SparseFactor(grid, 0.7, 2e-3).solve(rhs)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _dense_operator(grid, lam, dt):
+    """I + dt*(lam - laplace) on the interior nodes, assembled as a dense matrix."""
+    m, r = grid.n - 2, dt / grid.h**2
+    t = 2.0 * r * np.eye(m) - r * (np.eye(m, k=1) + np.eye(m, k=-1))
+    lap = t if grid.dim == 1 else np.kron(np.eye(m), t) + np.kron(t, np.eye(m))
+    return (1.0 + dt * lam) * np.eye(m**grid.dim) + lap
+
+
+@pytest.mark.parametrize("factor", [_TridiagonalFactor, _BandedFactor, _SineFactor,
+                                    _SparseFactor])
+@pytest.mark.parametrize("n", [3, 17])
+@pytest.mark.parametrize("k", [1, 3])
+def test_every_factor_solves_in_place(factor, n, k):
+    # a step hands its factor a C-ordered (K,) + interior row of the state buffer
+    dim = 2 if factor in (_SineFactor, _SparseFactor) else 1
+    grid = Grid(dim=dim, half_width=4.0, n=n)
+    b = np.random.default_rng(n * k).uniform(-1.0, 1.0, (k,) + (n - 2,) * dim)
+    rhs = b.copy()
+    x = factor(grid, 0.7, 0.1).solve(b)
+    assert np.shares_memory(x, b) and np.array_equal(x, b)
+    want = np.linalg.solve(_dense_operator(grid, 0.7, 0.1), rhs.reshape(k, -1).T).T
+    assert np.max(np.abs(b.reshape(k, -1) - want)) <= 1e-14 * np.max(np.abs(want))
+    # the strided interior of a padded block is solved in a copy, which is copied back
+    strided = np.zeros((k,) + grid.shape)[(slice(None),) + (slice(1, -1),) * dim]
+    strided[...] = rhs
+    assert factor(grid, 0.7, 0.1).solve(strided) is strided
+    assert np.array_equal(strided, b)
 
 
 def test_1d_transform_run_leaves_scipy_fft_unimported():
