@@ -309,8 +309,8 @@ def _pullback_sets(
     horizons = [float(t) for t in horizons]
     if not horizons or any(t <= 0 for t in horizons):
         raise ValueError("horizons must be positive")
-    if sorted(horizons) != horizons:
-        raise ValueError("horizons must increase")
+    if sorted(set(horizons)) != horizons:
+        raise ValueError("horizons must increase strictly")
     if m_samples < 1:
         raise ValueError("m_samples must be >= 1")
     if not all(0.0 <= a <= 1.0 for a in alphas):

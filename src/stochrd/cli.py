@@ -166,10 +166,12 @@ class ExperimentConfig:
         )
 
     def path_span(self) -> float:
-        """Half-width of the noise window, rounded up to whole steps of dt; the
-        periodicity command adds one forcing period to it."""
-        return _window(max(max(self.horizons) + self.s_trunc + abs(self.tau),
-                           abs(self.tau) + self.t_final) + 1.0, self.dt, "the path span")
+        """Half-width of the noise window every command draws, rounded up to whole steps
+        of dt: it covers the pullback depth with the radius memory, max(horizons) +
+        s_trunc, and the forward run, t_final, and one step at least, as a path needs.
+        tau moves only the forcing clock, so the window does not grow with |tau|."""
+        return _window(max(max(self.horizons) + self.s_trunc, self.t_final, self.dt), self.dt,
+                       "the path span")
 
 
 def _require_steps(name: str, span: float, step: float, step_name: str = "time.dt") -> None:
@@ -183,9 +185,9 @@ def _require_steps(name: str, span: float, step: float, step_name: str = "time.d
 
 
 def _require_pullback(config: ExperimentConfig) -> None:
-    """Two or more positive increasing whole-step horizons, members and a positive eps_att."""
+    """Two or more positive, strictly increasing whole-step horizons, members, eps_att > 0."""
     horizons = list(config.horizons)
-    if len(horizons) < 2 or horizons[0] <= 0 or sorted(horizons) != horizons:
+    if len(horizons) < 2 or horizons[0] <= 0 or sorted(set(horizons)) != horizons:
         raise ConfigError("experiment.horizons must be positive and increasing, two at least")
     for t in horizons:
         _require_steps("experiment.horizons", t, config.dt)
@@ -381,8 +383,7 @@ def _cmd_periodicity(config: ExperimentConfig, out_dir: str, seed: int, threads:
     grid = config.build_grid()
     _require_pullback(config)
     family, absorbing = config.build_family(), config.build_absorbing()
-    span = _window(config.path_span() + config.forcing_period, config.dt, "the path span")
-    path = sample_two_sided_path(seed, span, config.dt)
+    path = sample_two_sided_path(seed, config.path_span(), config.dt)
     dist, a, b = attractor_periodicity_check(
         spec, config.tau, path, config.alpha, grid, config.horizons, config.m_samples,
         family, absorbing, dt=config.dt, eps_att=config.eps_att, seed=seed, workers=threads,

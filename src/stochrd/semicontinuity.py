@@ -81,7 +81,7 @@ def deviation_check(spec: ModelSpec, alpha: float, tau: float, t: float,
         raise ValueError("alpha must lie in [0, 1]")
     sup_sq = 0.0
 
-    def observe(g, v, u, v_sq):
+    def observe(g, v, u, v_sq, z, amp):
         nonlocal sup_sq
         # the arithmetic of l2_distance(...) ** 2, once per chunk of states
         d = np.sqrt(_l2_sq_rows(u[:, 0] - u[:, 1], u_init.grid))
@@ -218,7 +218,8 @@ def sweep_alpha(
     if not tail_radius >= 0:
         raise ValueError("tail_radius must be nonnegative")
 
-    span = _window(max(horizons) + absorbing.s_trunc + abs(tau), dt, "the sweep path span")
+    # tau moves only the forcing clock: the path is read on [-(max horizon + s_trunc), 0]
+    span = _window(max(horizons) + absorbing.s_trunc, dt, "the sweep path span")
     ladder = [0.0] + alphas
     radii, sections = [], []  # per seed, one entry per intensity of the ladder
     for seed in seeds:

@@ -51,10 +51,11 @@ across a table window), copied once per buffer into a padded mirror that
 keeps the boundary ring; the finite check and the observe hook of
 _integrate read the mirror, one row-kernel call per quantity.  Every
 record, a single run's too, is one _records block whose one observer
-fills the per-step ledgers (|v|^2, |grad v|^2, z^2 |u|_p^p, z^2, |g|^2)
-for the energy and gradient certificates.  A non-finite state aborts
-integration with DivergenceError naming the first bad time, the column
-and its last finite |v|^2 and time.
+fills all five per-step ledgers (|v|^2, |grad v|^2, z^2 |u|_p^p, z^2,
+|g|^2) of the energy and gradient certificates from the states and the
+chunk's table rows: only _tables reads the path and the forcing clock.
+A non-finite state aborts integration with DivergenceError naming the
+first bad time, the column and its last finite |v|^2 and time.
 """
 
 from __future__ import annotations
@@ -234,15 +235,6 @@ class _Column:
     forcing_offset: float = 0.0
 
 
-def _series(col: _Column, spec: ModelSpec, dt: float, lo: int, hi: int):
-    """Times, path values and forcing amplitudes at ledger indices lo..hi."""
-    times = col.t_start + dt * np.arange(lo, hi + 1)
-    omega = np.atleast_1d(col.path.value_at(times))
-    amp = spec.g.amplitude * np.asarray(spec.g.modulation_at(times + col.forcing_offset),
-                                        dtype=float)
-    return times, omega, amp
-
-
 def _tables(cols, starts, spec: ModelSpec, dt: float, lo: int, hi: int):
     """Per-column weights and step coefficients on ledger indices lo..hi, one row per index.
 
@@ -252,13 +244,15 @@ def _tables(cols, starts, spec: ModelSpec, dt: float, lo: int, hi: int):
     shape = (hi - lo + 1, len(cols))
     tab = SimpleNamespace(omega=np.zeros(shape), z=np.ones(shape), zinv=np.ones(shape),
                           amp=np.zeros(shape))
-    shared: dict = {}  # columns on one path, clock and span share their series
+    shared: dict = {}  # columns on one path, clock and span share their path values and amplitudes
     for j, c in enumerate(cols[:sum(s <= hi for s in starts)]):
         first = max(lo, starts[j])
         key = (id(c.path), c.t_start, c.forcing_offset, first - starts[j], hi - starts[j])
         if key not in shared:
-            shared[key] = _series(c, spec, dt, *key[3:])
-        _, omega, amp = shared[key]
+            times = c.t_start + dt * np.arange(key[3], key[4] + 1)
+            mod = np.asarray(spec.g.modulation_at(times + c.forcing_offset), dtype=float)
+            shared[key] = np.atleast_1d(c.path.value_at(times)), spec.g.amplitude * mod
+        omega, amp = shared[key]
         rows = slice(first - lo, None)
         tab.omega[rows, j] = omega
         tab.z[rows, j] = np.exp(-c.alpha * omega)
@@ -400,10 +394,11 @@ def _integrate(columns, spec: ModelSpec, grid: Grid, dt: float, scheme: type = _
     Returns the final (v, u) blocks, one row per column in input order.
     Each column carries its own intensity; spec.alpha is not read.
     Columns are put in _block_order and the integration works on the active prefix of
-    the block.  The finite check and observe(g, v, u, v_sq), when given, run once per
-    chunk of states, on (rows, K, ...) blocks in block order from ledger index g, where
-    a column that has not started holds its first state.  Before a DivergenceError,
-    observe sees the finite prefix.
+    the block.  The finite check and observe(g, v, u, v_sq, z, amp), when given, run once
+    per chunk of states, on (rows, K, ...) blocks in block order from ledger index g, where
+    a column that has not started holds its first state; z and amp are the chunk's
+    (rows, K) table rows of path weights and forcing amplitudes, 1 and 0 before a
+    column's start.  Before a DivergenceError, observe sees the finite prefix.
     """
     ns, order = _block_order(columns, dt)
     cols = [columns[j] for j in order]
@@ -427,7 +422,7 @@ def _integrate(columns, spec: ModelSpec, grid: Grid, dt: float, scheme: type = _
         nonlocal prev_sq
         block, rows = full[:m, :active], slice(i, i + m)
         block[sch.inner] = buf[:m, :active]  # the chunk's interiors into the mirror
-        v = sch.v(block, tab, rows)
+        v, z, amp = sch.v(block, tab, rows), tab.z[rows, :active], tab.amp[rows, :active]
         v_sq = _l2_sq_rows(v.reshape((-1,) + grid.shape), grid).reshape(m, active)
         u = None if observe is None else sch.u(block, tab, rows)
         # rows before a column's start hold its first state and are not checked
@@ -439,10 +434,10 @@ def _integrate(columns, spec: ModelSpec, grid: Grid, dt: float, scheme: type = _
             last_sq, last_t = ((float(v_sq[r - 1, j] if r else prev_sq[j]), t0 + dt * (k - 1))
                                if k else (None, None))
             if observe is not None and r:
-                observe(g, v[:r], u[:r], v_sq[:r])
+                observe(g, v[:r], u[:r], v_sq[:r], z[:r], amp[:r])
             raise DivergenceError(t0 + dt * k, column=order[j], last_v_sq=last_sq, last_t=last_t)
         if observe is not None:
-            observe(g, v, u, v_sq)
+            observe(g, v, u, v_sq, z, amp)
         prev_sq = v_sq[-1]
 
     # window edges counted back from the common end
@@ -476,35 +471,36 @@ def _integrate(columns, spec: ModelSpec, grid: Grid, dt: float, scheme: type = _
 
 def _records(scheme: type, columns, spec: ModelSpec, grid: Grid, dt: float) -> list:
     """The columns as one core block, one TrajectoryRecord each in input order; one
-    (4, K, n_max + 1) ledger in block order holds every column's |v|^2, |grad v|^2,
-    z^2 |u|_p^p and z^2, each ending at n_max, so these arrays of a record are row views."""
+    (5, K, n_max + 1) ledger in block order holds every column's |v|^2, |grad v|^2,
+    z^2 |u|_p^p, z^2 and |g|^2, each ending at n_max, so every array of a record is a
+    row view.  Its one observer fills all five rows from the states and the chunk's table
+    rows, so a record reads no path and no forcing of its own."""
     ns, order = _block_order(columns, dt)
     n_max = ns[order[0]]
     prof_sq = 0.0 if spec.g.is_zero() else _profile_norm_sq(spec.g.profile, grid)
-    ledger, series = np.zeros((4, len(columns), n_max + 1)), {}
-    for j, i in enumerate(order):
-        times, omega, amp = _series(columns[i], spec, dt, 0, ns[i])
-        ledger[3, j, n_max - ns[i]:] = np.square(np.exp(-columns[i].alpha * omega))  # z^2
-        series[i] = times, amp * amp * prof_sq
+    ledger = np.zeros((5, len(columns), n_max + 1))
 
-    def observe(g, v, u, v_sq):
+    def observe(g, v, u, v_sq, z, amp):
         m, a = v_sq.shape
         at, kernel_rows = (slice(None, a), slice(g, g + m)), (m * a,) + grid.shape
+        z_sq = np.square(z)
         ledger[0][at] = v_sq.T
         ledger[1][at] = _h1_sq_rows(v.reshape(kernel_rows), grid).reshape(m, a).T
         ledger[2][at] = _lp_p_rows(u.reshape(kernel_rows), grid, spec.p,
-                                   ledger[3][at].T.ravel()).reshape(m, a).T
+                                   z_sq.ravel()).reshape(m, a).T
+        ledger[3][at] = z_sq.T
+        ledger[4][at] = ((amp * amp) * prof_sq).T
 
     v_end, u_end = _integrate(columns, spec, grid, dt, scheme, observe)
     out = [None] * len(columns)
     for j, i in enumerate(order):
-        (times, g_sq), u_final = series[i], u_end[i]
-        rows = ledger[:, j, n_max - ns[i]:]  # v_sq, gradv_sq, zsq_lp_p, z_sq: record order
+        col, u_final = columns[i], u_end[i]
+        rows = ledger[:, j, n_max - ns[i]:]  # v_sq, gradv_sq, zsq_lp_p, z_sq, g_sq: record order
         if ns[i] == 0:  # keep a zero-step run an exact identity (no z round trip)
-            u_final = columns[i].u_init
+            u_final = col.u_init
             rows[2] = _lp_p_rows(u_final[None], grid, spec.p, rows[3])
-        out[i] = TrajectoryRecord(grid, times, *rows, g_sq, Field(grid, u_final), v_end[i], dt,
-                                  scheme.name, columns[i].alpha)
+        out[i] = TrajectoryRecord(grid, col.t_start + dt * np.arange(ns[i] + 1), *rows,
+                                  Field(grid, u_final), v_end[i], dt, scheme.name, col.alpha)
     return out
 
 

@@ -123,8 +123,10 @@ def _loaded_in(name: str, called: bool = False) -> list[str]:
         for stmt in ast.parse(path.read_text()).body:
             nodes = ([n.func for n in ast.walk(stmt) if isinstance(n, ast.Call)] if called
                      else ast.walk(stmt))
-            if any(isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load)
-                   for n in nodes):
+            # a bare name or an attribute, as in c.path.value_at(...)
+            if any((isinstance(n, ast.Name) and n.id == name
+                    or isinstance(n, ast.Attribute) and n.attr == name)
+                   and isinstance(n.ctx, ast.Load) for n in nodes):
                 found.append(f"{path.stem}.{stmt.name}" if hasattr(stmt, "name") else path.stem)
     return found
 
@@ -132,6 +134,14 @@ def _loaded_in(name: str, called: bool = False) -> list[str]:
 def test_grid_tolerance_is_read_only_by_snap():
     # one on-grid rule: every window, evaluation and mask goes through _snap
     assert _loaded_in("_GRID_RTOL") == ["wiener._snap"]
+
+
+def test_path_and_forcing_clock_are_read_only_by_tables():
+    # one reader: the solver evaluates a column's path and forcing clock only for its
+    # step tables, and records take their ledger rows from those tables
+    for name in ("value_at", "modulation_at"):
+        assert [d for d in _loaded_in(name, called=True)
+                if d.startswith("solver.")] == ["solver._tables"], name
 
 
 def test_reports_are_built_only_by_verdict():

@@ -292,6 +292,8 @@ def test_pullback_validates_arguments():
               m_samples=2, family=FAM, absorbing=AB)
     with pytest.raises(ValueError):
         pullback_ensemble(horizons=[1.0, 0.5], **kw)
+    with pytest.raises(ValueError):  # equal depths leave the ladder with no deeper horizon
+        pullback_ensemble(horizons=[2.0, 2.0], **kw)
     with pytest.raises(ValueError):
         pullback_ensemble(horizons=[-1.0], **kw)
     with pytest.raises(ValueError):

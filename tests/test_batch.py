@@ -186,7 +186,7 @@ def _divergence_names_column(block, bad):
             _single(grid, cols[bad], spec)
         with pytest.raises(DivergenceError):
             _integrate([cols[bad]], spec, grid, DT,
-                       observe=lambda g, v, u, v_sq: seen.extend(
+                       observe=lambda g, v, u, v_sq, z, amp: seen.extend(
                            (g + r, float(s)) for r, s in enumerate(v_sq[:, 0])))
         with pytest.raises(DivergenceError) as batch:
             _integrate(cols, spec, grid, DT)

@@ -12,6 +12,7 @@ from stochrd import AttractorApprox, Field, Grid, SweepResult, SweepRow, WienerP
 from stochrd.cli import (_SCHEMA, ConfigError, ExperimentConfig, _run_record, execute,
                          load_config, main)
 from stochrd.report import _write_csv, _write_json
+from stochrd.wiener import _window
 
 SMALL = """\
 [model]
@@ -317,12 +318,14 @@ def test_step_grid_mismatch_exits_2(tmp_path, capsys):
     ("periodicity", "eps_att = 0.5", "eps_att = 0", "experiment.eps_att"),
     ("sweep-alpha", "eps_semi = 0.5", "eps_semi = -1", "experiment.eps_semi"),
     ("attractor", "horizons = 1.0, 2.0", "horizons = 2.0", "experiment.horizons"),
+    ("attractor", "horizons = 1.0, 2.0", "horizons = 2.0, 2.0", "experiment.horizons"),
 ], ids=["alpha", "family", "n", "lam", "delta", "m_samples", "c_abs", "s_trunc",
         "s_trunc-zero", "s_trunc-sweep", "h1-window", "seeds-empty", "alphas-empty",
         "tail_radius", "periodicity-zero-forcing", "periodicity-constant-forcing",
         "simulate-init_radius", "certify-init_radius", "attractor-init_radius",
         "attractor-ball_factor", "simulate-modes", "attractor-eps_att",
-        "periodicity-eps_att", "sweep-eps_semi", "attractor-one-depth"])
+        "periodicity-eps_att", "sweep-eps_semi", "attractor-one-depth",
+        "attractor-equal-depths"])
 def test_invalid_value_exits_2(tmp_path, capsys, monkeypatch, command, old, new, named):
     text = SMALL.replace(old, new)
     assert text != SMALL
@@ -348,12 +351,24 @@ def test_unused_spans_do_not_reject(tmp_path):
 
 
 def test_derived_window_need_not_be_whole_steps(tmp_path):
-    # every span the config names is whole steps of dt = 0.004; the windows the
-    # commands derive from them (5.25, 6.25 and 4.25) are not, and get rounded up
-    text = SMALL.replace("t_final = 1.0", "dt = 0.004\nt_final = 1.0\ntau = 0.25")
+    # every span the config names is whole steps of dt = 0.004; the window the
+    # commands derive from them, max horizon + s_trunc = 4.01, is not, and gets rounded up
+    text = SMALL.replace("t_final = 1.0", "dt = 0.004\nt_final = 1.0\ntau = 0.25").replace(
+        "s_trunc = 2.0", "s_trunc = 2.01")
     cfg = write_config(tmp_path, text)
     for command in ("simulate", "certify", "attractor", "periodicity", "sweep-alpha"):
         assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0, command
+
+
+@pytest.mark.parametrize("t_final", [1.0, 9.0])
+def test_path_span_does_not_grow_with_tau(t_final):
+    # tau moves only the forcing clock: the window covers the pullback depth with the
+    # radius memory, or the forward run, whichever is longer
+    spans = [ExperimentConfig(dt=0.004, t_final=t_final, tau=tau, horizons=(1.0, 2.0),
+                              s_trunc=2.01).path_span() for tau in (0.0, 7.5, -1e4)]
+    assert spans == [_window(max(2.0 + 2.01, t_final), 0.004, "the path span")] * 3
+    # a zero-step run whose depth the config leaves at zero still draws one step
+    assert ExperimentConfig(t_final=0.0, s_trunc=-20.0).path_span() == ExperimentConfig().dt
 
 
 def test_readme_schema_matches_the_parser():

@@ -52,7 +52,7 @@ from stochrd import (
 from stochrd import solver
 from stochrd.attractor import _dedup
 from stochrd.fields import _h1_sq_rows, _l2_distances, _l2_sq_rows, _lp_p_rows
-from stochrd.model import _memory_integral
+from stochrd.model import _memory_integral, _profile_norm_sq
 from stochrd.report import _verdict
 from stochrd.solver import (_Column, _Direct, _integrate, _records, _SineFactor,
                            _SparseFactor, _Transform)
@@ -66,7 +66,8 @@ SPEC = canonical_cubic(alpha=0.5, forcing=periodic_bump_forcing(0.05))
 def _states(col, grid):
     """Every state of one K = 1 run of the core, in ledger order."""
     out = []
-    _integrate([col], SPEC, grid, DT, observe=lambda g, v, u, v_sq: out.extend(u[:, 0].copy()))
+    _integrate([col], SPEC, grid, DT,
+               observe=lambda g, v, u, v_sq, z, amp: out.extend(u[:, 0].copy()))
     return out
 
 
@@ -111,7 +112,8 @@ def test_record_ledger_is_the_kernels_of_its_states(dim, scheme, alpha, steps, t
     states = []  # (v, u) at every ledger index, one index per chunk
     with mock.patch.multiple(solver, _WINDOW=window, _CHUNK=1):
         _integrate([col], spec, grid, DT, scheme=scheme,
-                   observe=lambda g, v, u, v_sq: states.append((v[0, 0].copy(), u[0, 0].copy())))
+                   observe=lambda g, v, u, v_sq, z, amp: states.append(
+                       (v[0, 0].copy(), u[0, 0].copy())))
     v, u = (np.array(x) for x in zip(*states))
     assert len(v) == steps + 1
     if steps == 0:  # a zero-step record returns u_init itself, with no z round trip
@@ -124,6 +126,12 @@ def test_record_ledger_is_the_kernels_of_its_states(dim, scheme, alpha, steps, t
     assert np.array_equal(rec.gradv_sq, [_h1_sq_rows(s[None], grid)[0] for s in v])
     assert np.array_equal(rec.zsq_lp_p, [_lp_p_rows(s[None], grid, spec.p, w)[0]
                                          for s, w in zip(u, rec.z_sq)])
+    # the path and forcing rows, from the path and the clock of the column itself
+    times = t0 + DT * np.arange(steps + 1)
+    amp = spec.g.amplitude * spec.g.modulation_at(times + 0.3)
+    assert np.array_equal(rec.times, times)
+    assert np.array_equal(rec.z_sq, np.square(np.exp(-alpha * PATH.value_at(times))))
+    assert np.array_equal(rec.g_sq, (amp * amp) * _profile_norm_sq(spec.g.profile, grid))
 
 
 # -- the two-anchor periodicity block and the two-column cocycle blocks --------------

@@ -26,6 +26,7 @@ from stochrd import (
     uniform_bound_check,
 )
 from stochrd.semicontinuity import _no_uptick
+from stochrd.wiener import _window
 
 G = Grid(dim=1, half_width=8.0, n=257)
 SPEC = canonical_cubic(alpha=0.5, forcing=periodic_bump_forcing(0.05))
@@ -203,6 +204,23 @@ def test_sweep_alpha_validates_ladder(monkeypatch):
         sweep_alpha(SPEC, G, alphas=[0.5], **{**kw, "seeds": []})
     with pytest.raises(ValueError, match="tail_radius"):
         sweep_alpha(SPEC, G, alphas=[0.5], tail_radius=-1.0, **kw)
+
+
+def test_sweep_window_does_not_grow_with_tau(monkeypatch):
+    # tau moves only the forcing clock: every anchor draws max(horizons) + s_trunc
+    drawn = []
+
+    def draw(seed, s_max, dt):
+        drawn.append(s_max)
+        raise LookupError("drawn")  # the window is all this test reads
+
+    monkeypatch.setattr("stochrd.semicontinuity.sample_two_sided_path", draw)
+    kw = dict(alphas=[0.5], seeds=[1], horizons=[0.5, 1.5], m_samples=2, family=FAM,
+              absorbing=AbsorbingSpec(c_abs=2.0, s_trunc=2.0))
+    for tau in (0.0, 1e4):
+        with pytest.raises(LookupError):
+            sweep_alpha(SPEC, G, tau=tau, **kw)
+    assert drawn == [_window(1.5 + 2.0, 1e-3, "the sweep path span")] * 2
 
 
 def test_sweep_alpha_artifacts(tmp_path):
