@@ -64,7 +64,6 @@ from .cocycle import (
 from .attractor import (
     AbsorbingSpec,
     AttractorApprox,
-    CalibrationConfig,
     TailReport,
     TemperedFamilySpec,
     absorbing_radius,
@@ -103,11 +102,11 @@ __all__ = [
     "CocycleQuery", "cocycle_law_defect", "energy_certificate",
     "h1_certificate", "periodic_cocycle_check", "phi", "phi_record",
     "phi_reference",
-    "AbsorbingSpec", "AttractorApprox", "CalibrationConfig", "TailReport",
-    "TemperedFamilySpec", "absorbing_radius", "attractor_periodicity_check",
-    "calibrate_c", "deterministic_radius", "hausdorff_dist",
-    "hausdorff_semidist", "pullback_ensemble", "sample_initial",
-    "tail_uniformity_report", "uniform_radius",
+    "AbsorbingSpec", "AttractorApprox", "TailReport", "TemperedFamilySpec",
+    "absorbing_radius", "attractor_periodicity_check", "calibrate_c",
+    "deterministic_radius", "hausdorff_dist", "hausdorff_semidist",
+    "pullback_ensemble", "sample_initial", "tail_uniformity_report",
+    "uniform_radius",
     "DeviationReport", "SweepResult", "SweepRow", "deviation_check",
     "path_smallness", "sweep_alpha", "uniform_bound_check",
 ]

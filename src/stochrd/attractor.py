@@ -22,12 +22,12 @@ Endpoint sets are deduplicated at a fixed resolution, which collapses
 the approximation to its distinct states (a single one for strongly
 contracting models).
 
-Every member of every horizon, in a sweep every intensity and in a
-periodicity check both anchors, shares the path, grid and step, so one
-call integrates them all as a single column block of the solver core
-(horizons aligned at their anchor, the deepest starting first), as
-calibrate_c does its reference ensemble.  The tempered radius of the
-initial family is computed once per (anchor, intensity, horizon).
+Every pullback ensemble (a section, a sweep's intensities, a periodicity
+check's two anchors, calibrate_c's reference ensemble) is one
+_pullback_ends call: a single column block of the solver core, one
+(tau, seed, path) anchor per section, horizons aligned at their anchor.
+The tempered radius of the initial family is computed once per
+(anchor, intensity, horizon).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .fields import (Field, Grid, _l2_distances, _l2_sq_rows, norms, read_field_
 from .model import ModelSpec
 from .report import _write_csv, _write_json
 from .solver import _Column, _integrate
-from .wiener import WienerPath, _whole_steps, _window, quad_exp, sample_two_sided_path, shift_path
+from .wiener import WienerPath, quad_exp, sample_two_sided_path, shift_path
 
 #: resolution at which pullback endpoint sets are deduplicated
 _DEDUP_TOL = 1e-9
@@ -285,26 +285,18 @@ def _endpoints(columns, spec: ModelSpec, grid: Grid, dt: float, workers: int) ->
     return np.concatenate(parts)
 
 
-def _pullback_sets(
-    anchors: Sequence[tuple[float, int]],
-    path: WienerPath,
-    alphas: Sequence[float],
-    spec: ModelSpec,
-    grid: Grid,
-    horizons: Sequence[float],
-    m_samples: int,
-    family: TemperedFamilySpec,
-    absorbing: AbsorbingSpec,
-    dt: float,
-    eps_att: float,
-    workers: int,
-) -> list[AttractorApprox]:
-    """Pullback approximations, one per (anchor, intensity) in that order.
+def _pullback_ends(anchors: Sequence[tuple[float, int, WienerPath]], alphas: Sequence[float],
+                   spec: ModelSpec, grid: Grid, horizons: Sequence[float], m_samples: int,
+                   family: TemperedFamilySpec, absorbing: AbsorbingSpec, dt: float,
+                   workers: int) -> np.ndarray:
+    """Raw pullback endpoints, one row per (anchor, intensity, horizon, member) in that order.
 
-    Every member of every (tau, seed) anchor, intensity and horizon is
-    one column of a single block integration.  The initial radius is
-    computed once per (anchor, intensity, horizon); member draws are keyed
-    by (seed, horizon index, member index) and so shared across intensities.
+    An anchor is a (tau, seed, path) triple; each anchor's path is shifted
+    once per horizon and that object is shared by all its columns.  Every
+    member of every anchor, intensity and horizon is one column of a single
+    block integration.  The initial radius is computed once per (anchor,
+    intensity, horizon); member draws are keyed by (seed, horizon index,
+    member index) and so shared across intensities.
     """
     horizons = [float(t) for t in horizons]
     if not horizons or any(t <= 0 for t in horizons):
@@ -315,22 +307,37 @@ def _pullback_sets(
         raise ValueError("m_samples must be >= 1")
     if not all(0.0 <= a <= 1.0 for a in alphas):
         raise ValueError("alpha must lie in [0, 1]")
+
+    columns = []
+    for tau, seed, path in anchors:
+        shifted = [shift_path(path, -t) for t in horizons]
+        for alpha in alphas:
+            for i, t in enumerate(horizons):
+                radius = family.radius_at(tau - t, shifted[i], alpha, spec, absorbing, grid)
+                for j in range(m_samples):
+                    rng = np.random.default_rng(np.random.SeedSequence((seed, i, j)))
+                    u0 = sample_initial(family, grid, radius, rng)
+                    columns.append(_Column(u0.values, 0.0, t, shifted[i], alpha, tau - t))
+    return _endpoints(columns, spec, grid, dt, workers)
+
+
+def _pullback_sets(anchors: Sequence[tuple[float, int, WienerPath]], alphas: Sequence[float],
+                   spec: ModelSpec, grid: Grid, horizons: Sequence[float], m_samples: int,
+                   family: TemperedFamilySpec, absorbing: AbsorbingSpec, dt: float,
+                   eps_att: float, workers: int) -> list[AttractorApprox]:
+    """Pullback approximations, one per (anchor, intensity) in that order.
+
+    The endpoints of _pullback_ends, deduplicated per horizon; consecutive
+    horizons are compared in symmetric Hausdorff distance, and an
+    approximation is converged when the last comparison is below eps_att.
+    """
     if not eps_att > 0:
         raise ValueError(f"eps_att = {eps_att!r} must be positive")
-
-    shifted = [shift_path(path, -t) for t in horizons]
-    columns = []
-    for (tau, seed), alpha in product(anchors, alphas):
-        for i, t in enumerate(horizons):
-            radius = family.radius_at(tau - t, shifted[i], alpha, spec, absorbing, grid)
-            for j in range(m_samples):
-                rng = np.random.default_rng(np.random.SeedSequence((seed, i, j)))
-                u0 = sample_initial(family, grid, radius, rng)
-                columns.append(_Column(u0.values, 0.0, t, shifted[i], alpha, tau - t))
-    ends = iter(_endpoints(columns, spec, grid, dt, workers))
-
+    ends = iter(_pullback_ends(anchors, alphas, spec, grid, horizons, m_samples, family,
+                               absorbing, dt, workers))
+    horizons = [float(t) for t in horizons]
     out = []
-    for (tau, seed), alpha in product(anchors, alphas):
+    for (tau, seed, _), alpha in product(anchors, alphas):
         sets: list[list[Field]] = []
         distances: list[float] = []
         for _ in horizons:
@@ -374,7 +381,7 @@ def pullback_ensemble(
     share their initial shapes across intensities.  workers > 1 splits
     the block over that many processes with identical results.
     """
-    return _pullback_sets([(tau, seed)], path, [alpha], spec, grid, horizons, m_samples,
+    return _pullback_sets([(tau, seed, path)], [alpha], spec, grid, horizons, m_samples,
                           family, absorbing, dt, eps_att, workers)[0]
 
 
@@ -401,7 +408,7 @@ def attractor_periodicity_check(
     """
     if spec.g.period is None:
         raise ValueError("attractor_periodicity_check needs forcing with a period")
-    a, b = _pullback_sets([(tau, seed * 2 + 1), (tau + spec.g.period, seed * 2 + 2)], path,
+    a, b = _pullback_sets([(tau, seed * 2 + 1, path), (tau + spec.g.period, seed * 2 + 2, path)],
                           [alpha], spec, grid, horizons, m_samples, family, absorbing, dt,
                           eps_att, workers)
     return hausdorff_dist(a, b), a, b
@@ -410,73 +417,43 @@ def attractor_periodicity_check(
 # -- calibration ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CalibrationConfig:
-    seeds: tuple = (101, 102)
-    alphas: tuple = (0.0, 0.5, 1.0)
-    tau: float = 0.0
-    horizon: float = 8.0
-    m_samples: int = 3
-    init_radius: float = 8.0
-    c_floor: float = 2.0 ** -0.5
-    c_cap: float = 2.0 ** 10
-    safety: float = 2.0
-    dt: float = 1e-3
-    modes: int = 8
-
-    def __post_init__(self):
-        if not self.seeds:
-            raise ValueError("seeds must not be empty")
-        if not (self.alphas and all(0.0 <= a <= 1.0 for a in self.alphas)):
-            raise ValueError(f"alphas = {self.alphas!r} must be non-empty and lie in [0, 1]")
-        for name in ("m_samples", "modes"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} = {getattr(self, name)!r} must be >= 1")
-        if not np.isfinite(self.tau):
-            raise ValueError(f"tau = {self.tau!r} must be finite")
-        if not 0 <= self.init_radius < np.inf:
-            raise ValueError(f"init_radius = {self.init_radius!r} must be finite and >= 0")
-        for name in ("dt", "horizon", "c_floor", "safety"):  # c = 0 never climbs the ladder
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} = {getattr(self, name)!r} must be finite and positive")
-        _whole_steps(self.horizon, self.dt, "horizon")
+#: calibrate_c's reference ensemble: pullback anchors (0, seed), depth 8, dt = 1e-3
+_CAL_SEEDS, _CAL_ALPHAS, _CAL_MEMBERS = (101, 102), (0.0, 0.5, 1.0), 3
+_CAL_DEPTH, _CAL_DT = 8.0, 1e-3
+_CAL_FAMILY = TemperedFamilySpec("constant", radius=8.0)
+#: its candidate constants _C_FLOOR * sqrt(2)^k, up to _C_CAP
+_C_FLOOR, _C_CAP = 2.0 ** -0.5, 2.0 ** 10
 
 
-def calibrate_c(spec: ModelSpec, grid: Grid, config: CalibrationConfig | None = None) -> float:
-    """Smallest grid constant absorbing a reference ensemble, doubled.
+def calibrate_c(spec: ModelSpec, grid: Grid) -> float:
+    """Smallest grid constant absorbing a fixed reference ensemble, doubled.
 
-    Runs pullback trajectories from a large constant ball across the
-    configured seeds and intensities as one column block, computes for
-    each run the ratio of the terminal norm to the unit-constant radius
-    integral, and walks the candidate grid c = c_floor * sqrt(2)^k upward
-    until every ratio is covered.  The first covering candidate times the
-    safety factor is returned; exhausting the grid raises CalibrationError.
+    The ensemble is one pullback block at tau = 0 on seeds 101 and 102,
+    intensities 0, 0.5 and 1, depth 8 and dt = 1e-3.  Each seed draws 3
+    members, shared by the intensities, from a constant ball of radius 8
+    under the pullback key (seed, 0, member).  Every raw endpoint counts:
+    its norm over the unit-constant radius at the anchor is a ratio, and
+    the candidates 2^-1/2 * sqrt(2)^k are walked upward until one covers
+    every ratio.  That candidate times 2 is returned; passing 2^10 raises
+    CalibrationError.
     """
-    cfg = config or CalibrationConfig()
     unit = AbsorbingSpec(c_abs=1.0)
-    family = TemperedFamilySpec("constant", radius=cfg.init_radius, modes=cfg.modes)
-
-    span = _window(max(cfg.horizon, unit.s_trunc), cfg.dt, "the calibration path span")
-    columns, m_units = [], []
-    for seed in cfg.seeds:
-        path = sample_two_sided_path(seed, span, cfg.dt)
-        shifted = shift_path(path, -cfg.horizon)
-        for alpha in cfg.alphas:
-            m_units += [absorbing_radius(cfg.tau, path, alpha, spec, unit, grid)] * cfg.m_samples
-            for j in range(cfg.m_samples):
-                rng = np.random.default_rng(np.random.SeedSequence((seed, 7, j)))
-                u0 = sample_initial(family, grid, cfg.init_radius, rng)
-                columns.append(_Column(u0.values, 0.0, cfg.horizon, shifted, alpha,
-                                       cfg.tau - cfg.horizon))
-    ends = _integrate(columns, spec, grid, cfg.dt)[1]
+    # the window covers the depth and the radius memory; both are whole steps of dt
+    paths = [sample_two_sided_path(seed, max(_CAL_DEPTH, unit.s_trunc), _CAL_DT)
+             for seed in _CAL_SEEDS]
+    ends = _pullback_ends([(0.0, seed, path) for seed, path in zip(_CAL_SEEDS, paths)],
+                          _CAL_ALPHAS, spec, grid, [_CAL_DEPTH], _CAL_MEMBERS, _CAL_FAMILY,
+                          unit, _CAL_DT, 1)
+    m_units = [absorbing_radius(0.0, path, alpha, spec, unit, grid)
+               for path in paths for alpha in _CAL_ALPHAS for _ in range(_CAL_MEMBERS)]
     needed = max(float(r) / m for r, m in zip(np.sqrt(_l2_sq_rows(ends, grid)), m_units))
-    c = cfg.c_floor
-    while c <= cfg.c_cap:
+    c = _C_FLOOR
+    while c <= _C_CAP:
         if c >= needed:
-            return cfg.safety * c
+            return 2.0 * c
         c *= 2.0 ** 0.5
     raise CalibrationError(
-        f"no candidate below cap {cfg.c_cap} absorbs the ensemble (needed {needed:.3g})"
+        f"no candidate below cap {_C_CAP} absorbs the ensemble (needed {needed:.3g})"
     )
 
 

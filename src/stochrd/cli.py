@@ -169,9 +169,10 @@ class ExperimentConfig:
         """Half-width of the noise window every command draws, rounded up to whole steps
         of dt: it covers the pullback depth with the radius memory, max(horizons) +
         s_trunc, and the forward run, t_final, and one step at least, as a path needs.
-        tau moves only the forcing clock, so the window does not grow with |tau|."""
-        return _window(max(max(self.horizons) + self.s_trunc, self.t_final, self.dt), self.dt,
-                       "the path span")
+        An empty ladder has no pullback depth.  tau moves only the forcing clock, so the
+        window does not grow with |tau|."""
+        return _window(max(max(self.horizons, default=0.0) + self.s_trunc, self.t_final,
+                           self.dt), self.dt, "the path span")
 
 
 def _require_steps(name: str, span: float, step: float, step_name: str = "time.dt") -> None:

@@ -222,9 +222,11 @@ def sweep_alpha(
     span = _window(max(horizons) + absorbing.s_trunc, dt, "the sweep path span")
     ladder = [0.0] + alphas
     radii, sections = [], []  # per seed, one entry per intensity of the ladder
+    # one block per seed: the step tables grow with the block width, so one block of
+    # every seed would raise the default sweep-alpha's peak memory from 77 to 114 MB
     for seed in seeds:
         path = sample_two_sided_path(seed, span, dt)
-        sections.append(_pullback_sets([(tau, seed)], path, ladder, spec, grid, horizons,
+        sections.append(_pullback_sets([(tau, seed, path)], ladder, spec, grid, horizons,
                                        m_samples, family, absorbing, dt, eps_att, workers))
         # at alpha = 0 the path weight is exp(-0.0 w) = 1.0, the deterministic radius
         radii.append([absorbing_radius(tau, path, a, spec, absorbing, grid) for a in ladder])

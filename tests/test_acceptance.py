@@ -166,16 +166,15 @@ def test_06_calibrated_absorption(calibrated_c):
     fam = TemperedFamilySpec("absorbing-ball", factor=4.0)
     worst_ratio = 0.0
     alphas = (0.0, 0.5, 1.0)
-    for seed in range(1, 11):
-        p = sample_two_sided_path(seed, 62.0, DT)
-        # the three intensities as one block of 9 columns; each column equals
-        # its pullback_ensemble run bit for bit
-        approxes = _pullback_sets([(0.0, seed)], p, alphas, SPEC, G, [20.0], 3, fam, ab,
-                                  DT, 1e-3, 1)
-        for alpha, approx in zip(alphas, approxes):
-            m_alpha = absorbing_radius(0.0, p, alpha, SPEC, ab, G)
-            reach = max(norms(f).l2 for f in approx.endpoints)
-            worst_ratio = max(worst_ratio, reach / m_alpha)
+    paths = {seed: sample_two_sided_path(seed, 62.0, DT) for seed in range(1, 11)}
+    # ten anchors on their own paths and three intensities as one block of 90 columns;
+    # each column equals its pullback_ensemble run bit for bit
+    approxes = _pullback_sets([(0.0, seed, p) for seed, p in paths.items()], alphas, SPEC, G,
+                              [20.0], 3, fam, ab, DT, 1e-3, 1)
+    for approx in approxes:
+        m_alpha = absorbing_radius(0.0, paths[approx.seed], approx.alpha, SPEC, ab, G)
+        reach = max(norms(f).l2 for f in approx.endpoints)
+        worst_ratio = max(worst_ratio, reach / m_alpha)
     ok = worst_ratio <= 1.0
     _line(6, ok, f"c_abs {calibrated_c:.6f}, worst endpoint/radius ratio "
                  f"{worst_ratio:.3e} <= 1")

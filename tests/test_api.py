@@ -1,7 +1,7 @@
 """The public API is exactly what __all__ lists, so any change to it shows in a diff;
 every private module-level name is used somewhere in the package; every default of
-the public API is overridden by some caller; and the on-grid tolerance and the
-certificate verdict each live in one function."""
+the public API is overridden by some caller; and the on-grid tolerance, the
+certificate verdict and the pullback columns each live in one function."""
 
 import ast
 import dataclasses
@@ -147,3 +147,11 @@ def test_path_and_forcing_clock_are_read_only_by_tables():
 def test_reports_are_built_only_by_verdict():
     # one verdict rule: the first NaN, else the first smallest margin, is the worst
     assert _loaded_in("CertificateReport", called=True) == ["report._verdict"]
+
+
+def test_pullback_columns_are_built_only_by_pullback_ends():
+    # one builder: every pullback ensemble, the calibration's too, draws its members and
+    # builds its columns in _pullback_ends
+    for name in ("_Column", "SeedSequence"):
+        assert [d for d in _loaded_in(name, called=True)
+                if d.startswith("attractor.")] == ["attractor._pullback_ends"], name

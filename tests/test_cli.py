@@ -319,13 +319,14 @@ def test_step_grid_mismatch_exits_2(tmp_path, capsys):
     ("sweep-alpha", "eps_semi = 0.5", "eps_semi = -1", "experiment.eps_semi"),
     ("attractor", "horizons = 1.0, 2.0", "horizons = 2.0", "experiment.horizons"),
     ("attractor", "horizons = 1.0, 2.0", "horizons = 2.0, 2.0", "experiment.horizons"),
+    ("attractor", "horizons = 1.0, 2.0", "horizons =", "experiment.horizons"),
 ], ids=["alpha", "family", "n", "lam", "delta", "m_samples", "c_abs", "s_trunc",
         "s_trunc-zero", "s_trunc-sweep", "h1-window", "seeds-empty", "alphas-empty",
         "tail_radius", "periodicity-zero-forcing", "periodicity-constant-forcing",
         "simulate-init_radius", "certify-init_radius", "attractor-init_radius",
         "attractor-ball_factor", "simulate-modes", "attractor-eps_att",
         "periodicity-eps_att", "sweep-eps_semi", "attractor-one-depth",
-        "attractor-equal-depths"])
+        "attractor-equal-depths", "attractor-no-depth"])
 def test_invalid_value_exits_2(tmp_path, capsys, monkeypatch, command, old, new, named):
     text = SMALL.replace(old, new)
     assert text != SMALL
@@ -348,6 +349,20 @@ def test_unused_spans_do_not_reject(tmp_path):
         ["check-model", "--config", write_config(tmp_path, name="ref.ini"),
          "--out", str(tmp_path / "m0")])
     assert main(["attractor", "--config", cfg, "--out", str(tmp_path / "a")]) == 2
+
+
+def test_empty_horizons_do_not_stop_forward_runs(tmp_path):
+    # simulate and certify read no pullback depth: with an empty ladder they draw a
+    # shorter window and write the same run, byte for byte
+    empty = write_config(tmp_path, SMALL.replace("horizons = 1.0, 2.0", "horizons ="), "e.ini")
+    for command, names in (("simulate", ("trajectory.csv", "final_field.bin",
+                                         "final_field.csv")),
+                           ("certify", ("trajectory.csv",))):
+        for cfg, out in ((write_config(tmp_path), "full"), (empty, "empty")):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / command / out)]) == 0
+        for name in names:
+            assert (tmp_path / command / "empty" / name).read_bytes() == (
+                tmp_path / command / "full" / name).read_bytes(), (command, name)
 
 
 def test_derived_window_need_not_be_whole_steps(tmp_path):
