@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import CalibrationError, DivergenceError
 from .fields import (Field, Grid, _l2_distances, _l2_sq_rows, norms, read_field_block,
-                     write_field_block)
+                     tail_mass, write_field_block)
 from .model import ModelSpec
 from .report import _write_csv, _write_json
 from .solver import _Column, _integrate
@@ -216,11 +216,7 @@ class AttractorApprox:
     eps_att: float
 
     def max_tail(self, k: float) -> float:
-        if k < 0:
-            raise ValueError("k must be nonnegative")
-        outside = self.endpoints[0].grid.radius() >= k
-        tails = np.stack([f.values[outside] for f in self.endpoints])
-        return float(_l2_sq_rows(tails, self.endpoints[0].grid).max())
+        return max(tail_mass(f, k) for f in self.endpoints)
 
     def to_json_dict(self) -> dict:
         return {

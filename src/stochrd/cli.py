@@ -165,6 +165,7 @@ class ExperimentConfig:
             factor=self.ball_factor, modes=self.modes,
         )
 
+    @_section("experiment")
     def path_span(self) -> float:
         """Half-width of the noise window every command draws, rounded up to whole steps
         of dt: it covers the pullback depth with the radius memory, max(horizons) +

@@ -62,9 +62,7 @@ class CocycleQuery:
             raise ValueError("elapsed time must be nonnegative")
 
     def resolve(self, spec: ModelSpec) -> ModelSpec:
-        if self.alpha is None or self.alpha == spec.alpha:
-            return spec
-        return spec.with_alpha(self.alpha)
+        return spec if self.alpha is None else spec.with_alpha(self.alpha)
 
 
 def phi_record(query: CocycleQuery, spec: ModelSpec, dt: float = 1e-3) -> TrajectoryRecord:

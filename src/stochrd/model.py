@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -80,21 +79,12 @@ class Profile:
     def on_grid(self, grid: Grid) -> np.ndarray:
         return self.eval_radius(grid.radius())
 
-    def is_zero(self) -> bool:
-        return self.family == "zero" or self.amplitude == 0.0
-
 
 ZERO_PROFILE = Profile("zero")
 
 
-@lru_cache(maxsize=64)
 def _profile_norm_sq(profile: Profile, grid: Grid) -> float:
     return float(_l2_sq_rows(profile.on_grid(grid)[None], grid)[0])
-
-
-@lru_cache(maxsize=64)
-def _profile_integral(profile: Profile, grid: Grid) -> float:
-    return float(grid.cell_measure * np.sum(profile.on_grid(grid)))
 
 
 # -- reaction term ---------------------------------------------------------
@@ -175,7 +165,7 @@ class Nonlinearity:
 
 @dataclass(frozen=True)
 class ForcingSpec:
-    """Separable forcing g(t, x) = amplitude * m(t) * profile(|x|).
+    """Separable forcing g(t, x) = amplitude * m(t) * profile(|x|), amplitude**2 finite.
 
     family 'zero'     : g = 0
     family 'constant' : m = 1
@@ -194,6 +184,8 @@ class ForcingSpec:
     def __post_init__(self):
         if self.family not in ("zero", "constant", "periodic", "custom"):
             raise ValueError(f"unknown forcing family {self.family!r}")
+        if not self.amplitude * self.amplitude < math.inf:
+            raise ValueError(f"forcing amplitude {self.amplitude!r} has no finite square")
         if self.family == "periodic":
             if self.period is None or not self.period > 0:
                 raise ValueError("periodic forcing needs a positive period")
@@ -214,8 +206,6 @@ class ForcingSpec:
 
     def l2norm_sq(self, t, grid: Grid):
         """Squared grid L2 norm of g(t, .); t may be an array."""
-        if self.family == "zero" or self.amplitude == 0.0:
-            return np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0
         base = self.amplitude**2 * _profile_norm_sq(self.profile, grid)
         m = self.modulation_at(t)
         out = base * m * m
@@ -271,9 +261,7 @@ class ModelSpec:
 
     def psi1_integral(self, grid: Grid) -> float:
         """Domain integral of psi1, the additive energy constant / 2."""
-        if self.psi1.is_zero():
-            return 0.0
-        return _profile_integral(self.psi1, grid)
+        return float(grid.cell_measure * np.sum(self.psi1.on_grid(grid)))
 
 
 def canonical_cubic(

@@ -34,7 +34,7 @@ product per segment, so a step is a few in-place ufunc calls and one
 solve for the whole active block.  A buffer row holds interior nodes
 only, a C-ordered (K,) + interior block: the right-hand side is
 assembled in the destination row and solved there, in 1-d by LAPACK
-dpttrs (dpttrf prefactored and cached), in 2-d by one type-I sine
+dpttrs (dpttrf factored once per integration), in 2-d by one type-I sine
 transform along one axis, one chained dpttrs solve along the other and
 the inverse transform (Hockney's method).  No column's arithmetic
 depends on another, so column j equals a K = 1 run bit for bit.
@@ -61,7 +61,6 @@ first bad time, the column and its last finite |v|^2 and time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -186,11 +185,6 @@ class _SineFactor(_TridiagonalFactor):
         return b
 
 
-@lru_cache(maxsize=64)
-def _implicit_factor(grid: Grid, lam: float, dt: float, factors: tuple):
-    return factors[grid.dim - 1](grid, lam, dt)
-
-
 # -- trajectory record -------------------------------------------------------
 
 
@@ -276,7 +270,7 @@ class _Scheme:
     def __init__(self, spec: ModelSpec, grid: Grid, dt: float, alphas):
         self.dt, self.alphas = dt, alphas
         self.inner = (...,) + (slice(1, -1),) * grid.dim
-        self.solve = _implicit_factor(grid, spec.lam, dt, self.factors).solve
+        self.solve = self.factors[grid.dim - 1](grid, spec.lam, dt).solve
         shape = (len(alphas),) + (grid.n - 2,) * grid.dim
         # preallocated, as fresh blocks per step let glibc trim and refault: w holds u (the
         # noise term on the direct route), t the reaction
@@ -287,6 +281,7 @@ class _Scheme:
         x = np.asarray(grid.coords())[self.inner]  # reaction and forcing: interior nodes only
         self.sign, self.react = spec.f._kernel(x if grid.dim == 1 else tuple(x))
         # a copy: a product with the strided 2-d interior view took 4x as long
+        # None for the documented forcing = zero: no product, 11% off an unforced 1-d step
         self.profile = (None if spec.g.is_zero()
                         else spec.g.profile.on_grid(grid)[self.inner].copy())
         self.forcing = None if self.profile is None else np.empty(self.buf.shape)
@@ -477,7 +472,7 @@ def _records(scheme: type, columns, spec: ModelSpec, grid: Grid, dt: float) -> l
     rows, so a record reads no path and no forcing of its own."""
     ns, order = _block_order(columns, dt)
     n_max = ns[order[0]]
-    prof_sq = 0.0 if spec.g.is_zero() else _profile_norm_sq(spec.g.profile, grid)
+    prof_sq = _profile_norm_sq(spec.g.profile, grid)
     ledger = np.zeros((5, len(columns), n_max + 1))
 
     def observe(g, v, u, v_sq, z, amp):

@@ -10,10 +10,10 @@ these samples usable as the random symbol of a pathwise dynamical system:
 * the conjugation weight z(w, a, t) = exp(-a * w(t)) satisfies the cocycle
   identity z(w, a, t) * z(shift_path(w, t), a, s) = z(w, a, t + s).
 
-Shift composition is bit-exact here because a shifted path shares the
-immutable base sample array of its parent and only moves the anchor
-index; values are always formed as a single subtraction against the
-anchor sample.  Between grid points the path is interpolated linearly,
+Shift composition is bit-exact here because a shifted path holds an
+immutable copy of its parent's base sample array and only moves the
+anchor index; values are always formed as a single subtraction against
+the anchor sample.  Between grid points the path is interpolated linearly,
 at a position counted in steps from the anchor (t = 0), so no value
 depends on the sampled window, and every evaluation is a measurable
 function of finitely many Gaussian increments.
@@ -49,12 +49,15 @@ def _snap(k):
 
 
 def _window(span: float, step: float, what: str) -> float:
-    """span rounded up to whole steps of step; ValueError naming what unless step > 0.
-    A span that _snap puts on k whole steps comes back as it is, so a path drawn over
-    it keeps its step count and its bits."""
+    """span rounded up to whole steps of step; ValueError naming what unless step > 0
+    and span is fewer than 2**53 steps (from there on every float is a whole number, so the
+    on-grid rule says nothing).  A span that _snap puts on k whole steps comes back as it
+    is, so a path drawn over it keeps its step count and its bits."""
     if not step > 0:
         raise ValueError(f"{what}: step {step!r} must be positive")
     k = float(_snap(span / step))
+    if not k < 2.0**53:
+        raise ValueError(f"{what} = {span!r} is {k!r} steps of {step!r}, 2**53 or more")
     return span if k.is_integer() else math.ceil(k) * step
 
 

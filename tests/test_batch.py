@@ -130,7 +130,7 @@ def test_records_match_one_column_records(block, scheme, extras):
 
 def _reference(col, spec, grid, scheme):
     """One column stepped by the plain formula with the core's implicit factor; final (v, u)."""
-    factor = solver._implicit_factor(grid, spec.lam, DT, scheme.factors)
+    factor = scheme.factors[grid.dim - 1](grid, spec.lam, DT)
     n = round((col.t_end - col.t_start) / DT)
     times = col.t_start + DT * np.arange(n + 1)
     omega = col.path.value_at(times)

@@ -320,13 +320,25 @@ def test_step_grid_mismatch_exits_2(tmp_path, capsys):
     ("attractor", "horizons = 1.0, 2.0", "horizons = 2.0", "experiment.horizons"),
     ("attractor", "horizons = 1.0, 2.0", "horizons = 2.0, 2.0", "experiment.horizons"),
     ("attractor", "horizons = 1.0, 2.0", "horizons =", "experiment.horizons"),
+    # h**2 overflows or vanishes
+    ("simulate", "[time]", "[grid]\nhalf_width = 1e300\n\n[time]", "[grid]"),
+    ("sweep-alpha", "[time]", "[grid]\nhalf_width = 1e-300\n\n[time]", "[grid]"),
+    ("check-model", "forcing_amplitude = 0.05", "forcing_amplitude = 1e200", "[model]"),
+    # spans of 2**53 steps or more
+    ("attractor", "t_final = 1.0", "t_final = 1.0\ndt = 1e-300", "time.dt"),
+    ("simulate", "horizons = 1.0, 2.0", "horizons = 1, 1e300", "[experiment] the path span"),
+    ("certify", "horizons = 1.0, 2.0", "horizons = 1, 1e300", "[experiment] the path span"),
+    ("check-model", "s_trunc = 2.0", "s_trunc = 1e300", "experiment.s_trunc"),
+    ("sweep-alpha", "s_trunc = 2.0", "s_trunc = 2.0\nquad_step = 1e-300", "[experiment] s_trunc"),
 ], ids=["alpha", "family", "n", "lam", "delta", "m_samples", "c_abs", "s_trunc",
         "s_trunc-zero", "s_trunc-sweep", "h1-window", "seeds-empty", "alphas-empty",
         "tail_radius", "periodicity-zero-forcing", "periodicity-constant-forcing",
         "simulate-init_radius", "certify-init_radius", "attractor-init_radius",
         "attractor-ball_factor", "simulate-modes", "attractor-eps_att",
         "periodicity-eps_att", "sweep-eps_semi", "attractor-one-depth",
-        "attractor-equal-depths", "attractor-no-depth"])
+        "attractor-equal-depths", "attractor-no-depth", "huge-spacing", "tiny-spacing",
+        "huge-amplitude", "tiny-dt", "simulate-huge-horizon", "certify-huge-horizon",
+        "huge-s_trunc", "tiny-quad_step"])
 def test_invalid_value_exits_2(tmp_path, capsys, monkeypatch, command, old, new, named):
     text = SMALL.replace(old, new)
     assert text != SMALL

@@ -38,6 +38,15 @@ def test_grid_validation():
         Grid(dim=1, half_width=0.0, n=9)
 
 
+@pytest.mark.parametrize("dim, half_width, n", [
+    (1, 1e300, 17), (1, 1e-300, 17), (2, 1e160, 3), (2, 1e-170, 3)])
+def test_grid_rejects_a_spacing_without_a_finite_square(dim, half_width, n):
+    # the implicit solves divide by h**2: an overflowing or vanishing square has no scheme
+    with pytest.raises(ValueError, match="grid spacing .* has no positive finite square"):
+        Grid(dim=dim, half_width=half_width, n=n)
+    assert Grid(dim=dim, half_width=1e150, n=n).h ** 2 < np.inf
+
+
 def test_grid_geometry():
     assert G1.h == pytest.approx(16.0 / 256.0)
     assert G1.axis[0] == -8.0 and G1.axis[-1] == 8.0
@@ -229,7 +238,9 @@ def test_binary_size_mismatch_names_file_and_sizes(tmp_path, cut, want):
     ((1, 17, float("inf")), "half_width must be positive and finite"),
     ((1, 2, 4.0), "need at least 3 points per axis"),
     ((2, 1, 4.0), "need at least 3 points per axis"),
-], ids=["dim-3", "negative-half-width", "nan-half-width", "inf-half-width", "1d-n-2", "2d-n-1"])
+    ((1, 3, 1e300), "grid spacing 1e+300 has no positive finite square"),
+], ids=["dim-3", "negative-half-width", "nan-half-width", "inf-half-width", "1d-n-2", "2d-n-1",
+        "overflowing-spacing"])
 def test_binary_bad_header_names_file_and_fault(tmp_path, header, fault):
     # a header that gives no Grid fails before any size is compared, naming the file too
     p = tmp_path / "f.bin"

@@ -147,6 +147,12 @@ def test_forcing_validation():
         ForcingSpec(family="custom", amplitude=1.0)  # missing modulation
     with pytest.raises(ValueError):
         ForcingSpec(family="chirp")
+    # every |g|^2 ledger reads amplitude**2, which must not overflow
+    for amplitude in (1e200, -1e155, np.nan):
+        with pytest.raises(ValueError, match="has no finite square"):
+            ForcingSpec(family="constant", amplitude=amplitude)
+    big = ForcingSpec(family="constant", amplitude=-1e150, profile=Profile("constant"))
+    assert 0.0 < big.l2norm_sq(0.0, G) < np.inf
 
 
 # -- model validation -----------------------------------------------------------

@@ -13,7 +13,7 @@ from stochrd import (
     sublinearity_report,
     z_value,
 )
-from stochrd.wiener import _snap
+from stochrd.wiener import _snap, _window
 
 
 def test_anchored_at_zero():
@@ -87,6 +87,14 @@ def test_window_errors():
         p.value_at(-2.01)
     with pytest.raises(WindowExceededError):
         shift_path(p, 3.0)
+
+
+def test_window_rejects_spans_of_2_53_steps_or_more():
+    # beyond 2**53 every float is a whole number: no on-grid rule, and no path to draw
+    for span, step in ((1e300, 1e-3), (1.0, 1e-300), (2.0**53, 1.0), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match=r"the span = .* steps of .*, 2\*\*53 or more"):
+            _window(span, step, "the span")
+    assert _window(2.0**53 - 1.0, 1.0, "the span") == 2.0**53 - 1.0
 
 
 def test_from_samples_needs_zero_at_origin():
