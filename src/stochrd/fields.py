@@ -37,8 +37,8 @@ class Grid:
     half_width : float
         Box half-width L, positive and finite.
     n : int
-        Points per axis including both boundary points, at least 3, such that
-        the spacing h = 2 L / (n - 1) has a positive finite square.
+        Points per axis including both boundary points, at least 3, with a float
+        value, such that the spacing h = 2 L / (n - 1) has a positive finite square.
     """
 
     dim: int
@@ -52,6 +52,10 @@ class Grid:
             raise ValueError("half_width must be positive and finite")
         if self.n < 3:
             raise ValueError("need at least 3 points per axis")
+        try:
+            float(self.n)
+        except OverflowError:
+            raise ValueError("n has no float value") from None
         if not 0.0 < self.h * self.h < np.inf:
             raise ValueError(f"grid spacing {self.h!r} has no positive finite square")
 

@@ -47,15 +47,23 @@ transform route; each scheme names its factor per dimension in its
 `factors` pair.
 
 Steps write a buffer of consecutive states (at most _CHUNK floats, never
-across a table window), copied once per buffer into a padded mirror that
-keeps the boundary ring; the finite check and the observe hook of
-_integrate read the mirror, one row-kernel call per quantity.  Every
-record, a single run's too, is one _records block whose one observer
-fills all five per-step ledgers (|v|^2, |grad v|^2, z^2 |u|_p^p, z^2,
-|g|^2) of the energy and gradient certificates from the states and the
-chunk's table rows: only _tables reads the path and the forcing clock.
-A non-finite state aborts integration with DivergenceError naming the
-first bad time, the column and its last finite |v|^2 and time.
+across a table window) into a padded mirror that keeps the boundary
+ring; the finite check and the observe hook of _integrate read the
+mirror, one row-kernel call per quantity.  An unobserved transform run
+first tests the chunk's states against a bound under which every |v|^2
+is finite: when they pass, only the latest state is copied and no norm
+is formed; when they do not, and in observed and direct runs, the whole
+chunk is copied and checked by its norms.  The step segments of the
+built-in reactions, whose ufunc calls are all elementwise, run with a
+16-element numpy buffer, which spares copying each broadcast (a, 1[, 1])
+coefficient into a full one; norms and custom reactions run with the
+caller's.  Every record, a single run's too, is one _records block
+whose one observer fills all five per-step ledgers (|v|^2, |grad v|^2,
+z^2 |u|_p^p, z^2, |g|^2) of the energy and gradient certificates from
+the states and the chunk's table rows: only _tables reads the path and
+the forcing clock.  A non-finite state aborts integration with
+DivergenceError naming the first bad time, the column and its last
+finite |v|^2 and time.
 """
 
 from __future__ import annotations
@@ -266,6 +274,8 @@ class _Scheme:
 
     #: implicit factor per dimension, 1-d then 2-d
     factors: tuple = (_TridiagonalFactor, _SineFactor)
+    #: whether the states are v itself, so that a bound on them bounds |v|^2
+    holds_v = False
 
     def __init__(self, spec: ModelSpec, grid: Grid, dt: float, alphas):
         self.dt, self.alphas = dt, alphas
@@ -287,6 +297,9 @@ class _Scheme:
         self.forcing = None if self.profile is None else np.empty(self.buf.shape)
         # broadcast one scalar per column over the field axes
         self.col = (Ellipsis,) + (None,) * grid.dim
+        # a built-in reaction's step is elementwise, so its bits do not depend on numpy's
+        # buffer size, and a small buffer spares copying each broadcast coefficient into it
+        self.bufsize = np.getbufsize() if spec.f.family == "custom" else 16
         self.views = {}  # per active width: the first a columns of every buffer row
 
     def v(self, block, tab, rows):  # a (rows, K, ...) block at table rows `rows`
@@ -301,10 +314,12 @@ class _Scheme:
     def runner(self, tab, a):
         if a not in self.views:
             self.views[a] = list(self.buf[:, :a])
-        rows, rhs, solve = self.views[a], self.rhs(tab, a), self.solve
+        rows, rhs, solve, bufsize = self.views[a], self.rhs(tab, a), self.solve, self.bufsize
         coeff = None if self.profile is None else getattr(tab, self.amp)[:, :a][self.col]
 
         def run(r0, r1, i, prev):
+            # the caller's size comes back below, or by _integrate's errstate on a raise
+            caller = np.setbufsize(bufsize)
             terms = () if coeff is None else np.multiply(  # the segment's forcing terms
                 coeff[i + r0:i + r1], self.profile, out=self.forcing[:r1 - r0, :a])
             for r in range(r0, r1):
@@ -314,6 +329,7 @@ class _Scheme:
                     np.add(dst, terms[r - r0], out=dst)
                 solve(dst)
                 prev = r
+            np.setbufsize(caller)
 
         return run
 
@@ -323,6 +339,7 @@ class _Transform(_Scheme):
 
     name = "transform"
     amp = "dza"  # forcing coefficient z * dt * amplitude
+    holds_v = True
 
     def start(self, u0, tab, i, j):
         return tab.z[i, j] * u0
@@ -394,6 +411,11 @@ def _integrate(columns, spec: ModelSpec, grid: Grid, dt: float, scheme: type = _
     a column that has not started holds its first state; z and amp are the chunk's
     (rows, K) table rows of path weights and forcing amplitudes, 1 and 0 before a
     column's start.  Before a DivergenceError, observe sees the finite prefix.
+    Without observe, a transform run's check first tests the chunk's states, and the
+    boundary ring of every start, against bound: each |v|^2 is then finite, as the scan
+    would find, and only the latest state is copied to the mirror.  A chunk that fails
+    the test is scanned, after the |v|^2 of the state before it is read from mirror row
+    last for the error's last finite norm.
     """
     ns, order = _block_order(columns, dt)
     cols = [columns[j] for j in order]
@@ -403,20 +425,32 @@ def _integrate(columns, spec: ModelSpec, grid: Grid, dt: float, scheme: type = _
     # buffer row r holds the state at ledger index g + r of the current chunk
     buf, full = sch.buf, sch.full
     active = 0
-    prev_sq = np.empty(0)  # the last checked state's |v|^2, all finite
+    # |x| <= bound at all n^dim nodes keeps h^dim * sum(x * x) finite, rounding included
+    bound = np.sqrt(np.finfo(float).max / (4.0 * grid.n**grid.dim * max(grid.cell_measure, 1.0)))
+    screen = observe is None and sch.holds_v  # test chunks against bound before any norm
+    prev_sq = np.empty(0)  # the last checked state's |v|^2, all finite; None: not formed
 
     def join(g, tab, i):
-        nonlocal active
+        nonlocal active, screen
         while starts[active] == g:
             # every row: a column holds its first state until it starts; the mirror keeps its ring
             full[:, active] = sch.start(cols[active].u_init, tab, i, active)
             buf[:, active] = full[:, active][sch.inner]
+            # the test reads interiors only, so a start beyond bound turns it off
+            screen = screen and bool(np.abs(full[0, active]).max() <= bound)
             active += 1
 
     def check(g, m, tab, i):
         nonlocal prev_sq
+        states = buf[:m, :active]
+        if screen and -bound <= states.min() and states.max() <= bound:  # NaN fails both
+            full[m - 1, :active][sch.inner] = states[-1]
+            prev_sq = None
+            return
+        if prev_sq is None:  # the state before the chunk, which the copy below overwrites
+            prev_sq = _l2_sq_rows(full[last, :active], grid)
         block, rows = full[:m, :active], slice(i, i + m)
-        block[sch.inner] = buf[:m, :active]  # the chunk's interiors into the mirror
+        block[sch.inner] = states  # the chunk's interiors into the mirror
         v, z, amp = sch.v(block, tab, rows), tab.z[rows, :active], tab.amp[rows, :active]
         v_sq = _l2_sq_rows(v.reshape((-1,) + grid.shape), grid).reshape(m, active)
         u = None if observe is None else sch.u(block, tab, rows)

@@ -10,10 +10,10 @@ these samples usable as the random symbol of a pathwise dynamical system:
 * the conjugation weight z(w, a, t) = exp(-a * w(t)) satisfies the cocycle
   identity z(w, a, t) * z(shift_path(w, t), a, s) = z(w, a, t + s).
 
-Shift composition is bit-exact here because a shifted path holds an
-immutable copy of its parent's base sample array and only moves the
-anchor index; values are always formed as a single subtraction against
-the anchor sample.  Between grid points the path is interpolated linearly,
+Shift composition is bit-exact here because a shifted path shares its
+parent's read-only base sample array and only moves the anchor index;
+values are always formed as a single subtraction against the anchor
+sample.  Between grid points the path is interpolated linearly,
 at a position counted in steps from the anchor (t = 0), so no value
 depends on the sampled window, and every evaluation is a measurable
 function of finitely many Gaussian increments.
@@ -188,7 +188,11 @@ def shift_path(path: WienerPath, t: float) -> WienerPath:
         raise WindowExceededError(
             f"t={t!r} outside sampled window [{path.t_min:.6g}, {path.t_max:.6g}]"
         )
-    return WienerPath(path._base, idx, path.grid_step, seed=path.seed)
+    # the parent's base is a checked read-only copy already, so it is shared, not copied
+    shifted = object.__new__(WienerPath)
+    shifted._base, shifted._i0 = path._base, idx
+    shifted.grid_step, shifted.seed = path.grid_step, path.seed
+    return shifted
 
 
 def z_value(path: WienerPath, alpha: float, t):

@@ -1,6 +1,7 @@
 """Block integration: every column of a batch is its own single run, bit for bit."""
 
 import dataclasses
+import itertools
 import pickle
 from unittest import mock
 
@@ -220,6 +221,66 @@ def test_batch_divergence_names_column_of_a_small_start():
     _divergence_names_column(block, 0)
 
 
+def _error(err):
+    return err.t, err.column, err.last_v_sq, err.last_t
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_batch_divergence_after_a_chunk_that_passed_the_bound(dim):
+    # the first bad state opens a chunk whose predecessor passed the bound test unscanned,
+    # so the last finite |v|^2 is formed from the mirror's latest row
+    spec = dataclasses.replace(SPEC, f=Nonlinearity("anticubic"))
+    grid = Grid(dim=dim, half_width=4.0, n=17)
+    cols = _columns(grid, [(40, 0.3, 1.0, 5), (40, 0.0, 1.0, 6), (40, 1.0, 1.0, 7)], 0.01)
+    cols[1] = dataclasses.replace(cols[1], u_init=1e3 * cols[1].u_init / np.max(
+        np.abs(cols[1].u_init)))
+    with pytest.raises(DivergenceError) as single:
+        _integrate([cols[1]], spec, grid, DT, observe=lambda *args: None)
+    k = round(single.value.t / DT)  # ledger index of the first bad state
+    assert k >= 2 and single.value.last_v_sq is not None
+    norms = mock.Mock(wraps=solver._l2_sq_rows)
+    # chunks of k - 1 rows: ledger 1..k - 1 pass, ledger k opens the next chunk
+    with mock.patch.multiple(solver, _CHUNK=(k - 1) * len(cols) * grid.n**dim,
+                             _l2_sq_rows=norms):
+        with pytest.raises(DivergenceError) as batch:
+            _integrate(cols, spec, grid, DT)
+    # no norm until the failing chunk: the mirror's row of the state before it, then the chunk
+    assert norms.call_count == 2
+    assert norms.call_args_list[0].args[0].shape == (len(cols),) + grid.shape
+    assert _error(batch.value) == _error(single.value)[:1] + (1,) + _error(single.value)[2:]
+
+
+@pytest.mark.parametrize("scheme", [solver._Transform, solver._Direct])
+def test_integration_keeps_the_callers_buffer_size(scheme):
+    # built-in steps run with a small ufunc buffer; norms, observers and a custom reaction
+    # see the caller's, which is back after a return and after a raise
+    grid = Grid(dim=1, half_width=4.0, n=17)
+    cols = _columns(grid, [(12, 0.3, 1.0, 1), (5, 1.0, 0.5, 2)], 0.05)
+    seen = []
+
+    def cubic(x, s):
+        seen.append(np.getbufsize())
+        return -(s * s * s)
+
+    custom = dataclasses.replace(SPEC, f=Nonlinearity("custom", cubic))
+    diverging = [dataclasses.replace(cols[0], u_init=np.full(grid.shape, np.inf))]
+    with np.errstate():
+        np.setbufsize(4096)
+        for spec in (SPEC, custom):
+            _integrate(cols, spec, grid, DT, scheme,
+                       observe=lambda *args: seen.append(np.getbufsize()))
+            _integrate(cols, spec, grid, DT, scheme)
+            assert np.getbufsize() == 4096
+            with pytest.raises(DivergenceError):
+                _integrate(diverging, spec, grid, DT, scheme)
+            assert np.getbufsize() == 4096
+        with mock.patch.object(scheme.factors[0], "solve", side_effect=RuntimeError):
+            with pytest.raises(RuntimeError):
+                _integrate(cols, SPEC, grid, DT, scheme)
+        assert np.getbufsize() == 4096
+    assert len(seen) > 12 and set(seen) == {4096}
+
+
 @pytest.mark.parametrize("scheme", [solver._Transform, solver._Direct])
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("n", [3, 17])
@@ -241,14 +302,23 @@ def test_steps_keep_a_zero_ring(scheme, dim, n):
 
 
 def test_divergence_at_the_first_state_has_no_last_norm():
-    grid = Grid(dim=1, half_width=4.0, n=17)
-    col = _columns(grid, [(10, 0.3, 1.0, 0)])[0]
-    col = dataclasses.replace(col, u_init=np.full(grid.shape, np.inf))
-    with pytest.raises(DivergenceError) as err:
-        _integrate([col], SPEC, grid, DT)
-    assert err.value.t == col.t_start
-    assert err.value.last_v_sq is None and err.value.last_t is None
-    assert "last finite" not in str(err.value)
+    # a non-finite start and finite ones whose |v|^2 overflows (at 1e154 in the sum alone),
+    # also on the boundary ring alone, which the core's bound test does not read
+    starts = [(np.inf, False), (np.inf, True), (1e160, False), (1e160, True), (1e154, False)]
+    for dim, (value, ring) in itertools.product((1, 2), starts):
+        grid = Grid(dim=dim, half_width=4.0, n=17)
+        u0 = np.full(grid.shape, value)
+        if ring:
+            u0[(slice(1, -1),) * dim] = 0.0
+        col = dataclasses.replace(_columns(grid, [(10, 0.3, 1.0, 0)])[0], u_init=u0)
+        with pytest.raises(DivergenceError) as err:
+            _integrate([col], SPEC, grid, DT)
+        with pytest.raises(DivergenceError) as observed:
+            _integrate([col], SPEC, grid, DT, observe=lambda *args: None)
+        assert err.value.t == col.t_start
+        assert err.value.last_v_sq is None and err.value.last_t is None
+        assert "last finite" not in str(err.value)
+        assert _error(err.value) == _error(observed.value)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -323,6 +323,9 @@ def test_step_grid_mismatch_exits_2(tmp_path, capsys):
     # h**2 overflows or vanishes
     ("simulate", "[time]", "[grid]\nhalf_width = 1e300\n\n[time]", "[grid]"),
     ("sweep-alpha", "[time]", "[grid]\nhalf_width = 1e-300\n\n[time]", "[grid]"),
+    # n has no float value
+    ("check-model", "[time]", f"[grid]\nn = 1{'0' * 400}\n\n[time]", "[grid] n has no"),
+    ("simulate", "[time]", f"[grid]\nn = 1{'0' * 400}\n\n[time]", "[grid] n has no"),
     ("check-model", "forcing_amplitude = 0.05", "forcing_amplitude = 1e200", "[model]"),
     # spans of 2**53 steps or more
     ("attractor", "t_final = 1.0", "t_final = 1.0\ndt = 1e-300", "time.dt"),
@@ -337,6 +340,7 @@ def test_step_grid_mismatch_exits_2(tmp_path, capsys):
         "attractor-ball_factor", "simulate-modes", "attractor-eps_att",
         "periodicity-eps_att", "sweep-eps_semi", "attractor-one-depth",
         "attractor-equal-depths", "attractor-no-depth", "huge-spacing", "tiny-spacing",
+        "check-model-huge-n", "simulate-huge-n",
         "huge-amplitude", "tiny-dt", "simulate-huge-horizon", "certify-huge-horizon",
         "huge-s_trunc", "tiny-quad_step"])
 def test_invalid_value_exits_2(tmp_path, capsys, monkeypatch, command, old, new, named):

@@ -36,6 +36,8 @@ def test_grid_validation():
         Grid(dim=1, half_width=1.0, n=2)
     with pytest.raises(ValueError):
         Grid(dim=1, half_width=0.0, n=9)
+    with pytest.raises(ValueError, match="n has no float value"):
+        Grid(dim=1, half_width=1.0, n=10**400)
 
 
 @pytest.mark.parametrize("dim, half_width, n", [

@@ -104,6 +104,20 @@ def test_from_samples_needs_zero_at_origin():
     assert p.value_at(1.0) == 3.0
 
 
+def test_shift_shares_the_read_only_base():
+    # the constructor copies and checks a caller's samples; a shift reuses its parent's
+    samples = np.array([-1.0, 0.0, 3.0, 5.0])
+    p = WienerPath.from_samples(samples, 1.0, -1.0)
+    assert not np.shares_memory(p._base, samples) and not p._base.flags.writeable
+    q = shift_path(shift_path(p, 2.0), -1.0)
+    assert np.shares_memory(q._base, p._base) and not q._base.flags.writeable
+    assert (q.grid_step, q.seed, q.t_min, q.t_max, q.value_at(1.0)) == (1.0, None, -2.0, 1.0, 2.0)
+    samples[3] = np.nan
+    assert p.value_at(2.0) == 5.0
+    with pytest.raises(ValueError, match="finite"):
+        WienerPath(samples, 1, 1.0)
+
+
 def test_shift_requires_grid_time():
     p = sample_two_sided_path(7, 2.0, 0.5)
     with pytest.raises(ValueError):
