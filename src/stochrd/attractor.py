@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CalibrationError, DivergenceError
+from .errors import CalibrationError, DivergenceError, _RadiusOverflowError
 from .fields import (Field, Grid, _l2_distances, _l2_sq_rows, norms, read_field_block,
                      tail_mass, write_field_block)
 from .model import ModelSpec
@@ -149,7 +149,9 @@ def _mode_table(grid: Grid, modes: int) -> np.ndarray:
 def sample_initial(family: TemperedFamilySpec, grid: Grid, radius: float,
                    rng: np.random.Generator) -> Field:
     """Smooth random state with L2 norm radius * xi, xi uniform in (0, 1]."""
-    if not radius >= 0:
+    if not radius < np.inf:  # factor * M_alpha overflowed
+        raise _RadiusOverflowError(f"initial radius = {radius!r} is not finite")
+    if radius < 0:
         raise ValueError(f"radius = {radius!r} must be non-negative")
     table = _mode_table(grid, family.modes)
     coeff = rng.normal(0.0, 1.0, size=family.modes) / np.arange(1, family.modes + 1)

@@ -38,7 +38,7 @@ from .attractor import (
     sample_initial,
 )
 from .cocycle import CocycleQuery, energy_certificate, h1_certificate, phi_record
-from .errors import DivergenceError, WindowExceededError
+from .errors import DivergenceError, WindowExceededError, _RadiusOverflowError
 from .fields import Grid, field_to_csv, write_field_block
 from .model import (
     ModelSpec,
@@ -463,6 +463,10 @@ def execute(command: str, config: ExperimentConfig, out_dir: str,
         return 1
     except (ConfigError, WindowExceededError) as exc:
         print(f"{command}: {exc}", file=sys.stderr)
+        return 2
+    except _RadiusOverflowError as exc:  # factor * M_alpha overflowed; c_abs scales M_alpha
+        print(f"{command}: experiment.ball_factor = {config.ball_factor!r} and experiment.c_abs"
+              f" = {config.c_abs!r} overflow the drawn ball ({exc})", file=sys.stderr)
         return 2
     _write_manifest(out_dir, command, config, manifest_seed)
     return code

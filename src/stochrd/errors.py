@@ -30,5 +30,9 @@ class DivergenceError(ArithmeticError):
         return type(self), (self.t, self.column, self.last_v_sq, self.last_t)
 
 
+class _RadiusOverflowError(OverflowError):
+    """An initial ball's radius, computed from the drawn path, is not finite."""
+
+
 class CalibrationError(RuntimeError):
     """No admissible constant was found within the search range."""

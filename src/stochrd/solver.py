@@ -41,10 +41,10 @@ depends on another, so column j equals a K = 1 run bit for bit.
 Weights and forcing amplitudes are tabulated per column in windows of
 _WINDOW steps counted back from the common end, so the tables stay
 small at any horizon and a column sees the same windows alone as in a
-block.  The direct route keeps the solves it was validated with, banded
-Cholesky in 1-d and sparse LU in 2-d, and shares no solver with the
-transform route; each scheme names its factor per dimension in its
-`factors` pair.
+block.  The direct route solves by banded Cholesky in every dimension
+(LAPACK dpbtrf once, one dpbtrs call per block) and shares no solver
+with the transform route's LDL^T; each scheme names its factor per
+dimension in its `factors` pair.
 
 Steps write a buffer of consecutive states (at most _CHUNK floats, never
 across a table window) into a padded mirror that keeps the boundary
@@ -72,8 +72,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg import cholesky_banded
-from scipy.linalg.lapack import dpbtrs, dpttrf, dpttrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dpttrs
 
 from .errors import DivergenceError
 from .fields import Field, Grid, _h1_sq_rows, _l2_sq_rows, _lp_p_rows
@@ -120,42 +119,29 @@ class _TridiagonalFactor:
 
 
 class _BandedFactor:
-    """Dim 1, banded Cholesky (dpbtrf); one dpbtrs call per block (direct route)."""
+    """Any dim, banded Cholesky (dpbtrf) in upper band storage of bandwidth kd = 1 in 1-d
+    and n - 2 in 2-d; one dpbtrs call per block (direct route)."""
 
     def __init__(self, grid: Grid, lam: float, dt: float):
         m = grid.n - 2
         r = dt / grid.h**2
-        ab = np.zeros((2, m))
-        ab[0, 1:] = -r
-        ab[1, :] = 1.0 + dt * lam + 2.0 * r
-        self._cb = cholesky_banded(ab)
+        kd = m ** (grid.dim - 1)
+        ab = np.zeros((kd + 1, m**grid.dim), order="F")  # Fortran-ordered: factored in place
+        ab[0, kd:] = -r  # the next grid row in 2-d, the next node in 1-d
+        ab[-2, 1:] = -r  # the next node, but none across a grid row's end
+        ab[-2, ::m] = 0.0
+        ab[-1] = 1.0 + dt * lam + 2.0 * grid.dim * r
+        self._cb, info = dpbtrf(ab, lower=0, overwrite_ab=True)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dpbtrf failed with info={info}")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        bt = b.T
+        bt = b.reshape(len(b), -1).T  # Fortran-ordered, a view for a C-ordered b
         x, info = dpbtrs(self._cb, bt, lower=0, overwrite_b=True)
         if info != 0:
             raise np.linalg.LinAlgError(f"dpbtrs failed with info={info}")
-        if x is not bt:  # f2py solved a copy
-            b[...] = x.T
-        return b
-
-
-class _SparseFactor:
-    """Dim 2, sparse LU; one solve with a K-column right-hand side (direct route)."""
-
-    def __init__(self, grid: Grid, lam: float, dt: float):
-        import scipy.sparse as sp
-        from scipy.sparse.linalg import splu
-
-        m = grid.n - 2
-        r = dt / grid.h**2
-        t = sp.diags([-r, 2.0 * r, -r], [-1, 0, 1], shape=(m, m))
-        lap = sp.kron(sp.eye(m), t) + sp.kron(t, sp.eye(m))
-        a = (1.0 + dt * lam) * sp.eye(m * m) + lap
-        self._lu = splu(a.tocsc())
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        b[...] = self._lu.solve(b.reshape(len(b), -1).T).T.reshape(b.shape)
+        if x is not bt or not b.flags.c_contiguous:  # f2py or the reshape solved a copy
+            b[...] = x.T.reshape(b.shape)
         return b
 
 
@@ -272,7 +258,7 @@ class _Scheme:
     buffer rows r0..r1 - 1: row r0 from row prev, each later row from the one before, row r
     at table row i + r, each solved in place in its C-ordered row."""
 
-    #: implicit factor per dimension, 1-d then 2-d
+    #: implicit factor per dimension, 1-d then 2-d; _Direct's is one banded Cholesky in both
     factors: tuple = (_TridiagonalFactor, _SineFactor)
     #: whether the states are v itself, so that a bound on them bounds |v|^2
     holds_v = False
@@ -361,10 +347,10 @@ class _Transform(_Scheme):
 
 
 class _Direct(_Scheme):
-    """State u; Euler-Heun noise increment, banded Cholesky or sparse LU solve."""
+    """State u; Euler-Heun noise increment, banded Cholesky solve in every dimension."""
 
     name = "direct"
-    factors = (_BandedFactor, _SparseFactor)
+    factors = (_BandedFactor, _BandedFactor)
     amp = "dta"  # forcing coefficient dt * amplitude
 
     def start(self, u0, tab, i, j):

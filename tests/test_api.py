@@ -1,7 +1,8 @@
 """The public API is exactly what __all__ lists, so any change to it shows in a diff;
 every private module-level name is used somewhere in the package; every default of
-the public API is overridden by some caller; and the on-grid tolerance, the
-certificate verdict and the pullback columns each live in one function."""
+the public API is overridden by some caller; the on-grid tolerance, the certificate
+verdict and the pullback columns each live in one function; and the package reads scipy
+only through LAPACK and the sine transforms."""
 
 import ast
 import dataclasses
@@ -147,6 +148,26 @@ def test_path_and_forcing_clock_are_read_only_by_tables():
 def test_reports_are_built_only_by_verdict():
     # one verdict rule: the first NaN, else the first smallest margin, is the worst
     assert _loaded_in("CertificateReport", called=True) == ["report._verdict"]
+
+
+def test_scipy_is_imported_only_for_lapack_and_the_sine_factor():
+    # the package's scipy surface: LAPACK at module level, and the sine transforms inside
+    # the 2-d transform factor, which imports them when it is built
+    found = set()
+    for path in sorted(Path(stochrd.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            where = path.stem if isinstance(stmt, (ast.Import, ast.ImportFrom)) else (
+                f"{path.stem}.{getattr(stmt, 'name', '<statement>')}")
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    modules = ([f"scipy.{alias.name}" for alias in node.names]
+                               if node.module == "scipy" else [node.module])
+                else:
+                    continue
+                found |= {(where, m) for m in modules if m.split(".")[0] == "scipy"}
+    assert found == {("solver", "scipy.linalg.lapack"), ("solver._SineFactor", "scipy.fft")}
 
 
 def test_pullback_columns_are_built_only_by_pullback_ends():

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochrd import AttractorApprox, Field, Grid, SweepResult, SweepRow, WienerPath
+from stochrd import (AttractorApprox, Field, Grid, SweepResult, SweepRow, WienerPath,
+                     attractor)
 from stochrd.cli import (_SCHEMA, ConfigError, ExperimentConfig, _run_record, execute,
                          load_config, main)
 from stochrd.report import _write_csv, _write_json
@@ -351,6 +352,32 @@ def test_invalid_value_exits_2(tmp_path, capsys, monkeypatch, command, old, new,
     assert main([command, "--config", write_config(tmp_path, text),
                  "--out", str(tmp_path / "out")]) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["attractor", "periodicity", "sweep-alpha"])
+@pytest.mark.parametrize("key", ["ball_factor = 1e308", "c_abs = 1.7e308"],
+                         ids=["ball_factor", "c_abs"])
+def test_overflowing_initial_radius_exits_2(tmp_path, capsys, monkeypatch, command, key):
+    # factor * M_alpha depends on the drawn path, so a path is drawn, but the radius
+    # overflows to inf and is rejected before any integration step
+    text = SMALL.replace("family = constant", f"family = absorbing-ball\n{key}")
+    monkeypatch.setattr(attractor, "_integrate", lambda *a, **k: pytest.fail("integrated"))
+    assert main([command, "--config", write_config(tmp_path, text),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "experiment.ball_factor" in err and "experiment.c_abs" in err
+
+
+@pytest.mark.parametrize("family", ["absorbing-ball\nball_factor = 1e200",
+                                    "constant\ninit_radius = 1e200"],
+                         ids=["ball_factor", "init_radius"])
+def test_finite_radius_whose_state_overflows_still_diverges(tmp_path, capsys, family):
+    # the radius is finite, so the run starts, and its first state is not
+    text = SMALL.replace("family = constant\ninit_radius = 1.0", f"family = {family}")
+    assert main(["attractor", "--config", write_config(tmp_path, text),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "trajectory diverged at t=0" in capsys.readouterr().err
 
 
 def test_unused_spans_do_not_reject(tmp_path):

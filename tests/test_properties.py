@@ -54,8 +54,8 @@ from stochrd.attractor import _dedup
 from stochrd.fields import _h1_sq_rows, _l2_distances, _l2_sq_rows, _lp_p_rows
 from stochrd.model import _memory_integral, _profile_norm_sq
 from stochrd.report import _verdict
-from stochrd.solver import (_Column, _Direct, _integrate, _records, _SineFactor,
-                           _SparseFactor, _Transform)
+from stochrd.solver import (_BandedFactor, _Column, _Direct, _integrate, _records,
+                           _SineFactor, _Transform)
 from stochrd.wiener import _whole_steps, _window
 
 DT = 1e-2
@@ -185,12 +185,12 @@ grid_steps = st.integers(-200, 200)  # the window of PATH is [-200, 200] steps
 @settings(max_examples=30, deadline=None)
 @given(n=st.sampled_from([17, 65]), k=st.integers(1, 8), lam=st.floats(0.0, 10.0),
        dt=st.floats(1e-4, 0.1), seed=st.integers(0, 2**32 - 1))
-def test_sine_solve_matches_sparse_lu(n, k, lam, dt, seed):
+def test_sine_solve_matches_banded_cholesky(n, k, lam, dt, seed):
     grid = Grid(dim=2, half_width=4.0, n=n)
     # the strided interior of a (K, n, n) block, which a factor solves in a copy and copies
     # back; each solve overwrites its block, so every other solve gets a copy
     rhs = np.random.default_rng(seed).uniform(-1.0, 1.0, (k,) + grid.shape)[:, 1:-1, 1:-1]
-    sine, want = _SineFactor(grid, lam, dt), _SparseFactor(grid, lam, dt).solve(rhs.copy())
+    sine, want = _SineFactor(grid, lam, dt), _BandedFactor(grid, lam, dt).solve(rhs.copy())
     ones = [sine.solve(rhs[j:j + 1].copy())[0] for j in range(k)]  # C-ordered: in place
     got = sine.solve(rhs)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -25,7 +25,7 @@ from stochrd import (
     solve_u_transform,
 )
 from stochrd.solver import (_BandedFactor, _Column, _Direct, _integrate, _SineFactor,
-                            _SparseFactor, _TridiagonalFactor)
+                            _TridiagonalFactor)
 
 G = Grid(dim=1, half_width=8.0, n=257)
 
@@ -112,7 +112,7 @@ def test_sine_mode_decay_2d_closed_form():
 
 
 def test_direct_and_transform_converge_together_2d():
-    # the 2-d routes share no solver (sine transform against sparse LU), so
+    # the 2-d routes share no solver (sine transform against banded Cholesky), so
     # their agreement is a check at scheme order: the panel's worst gap
     # falls with every halving of dt.  Each (route, dt) runs as one block.
     g2 = Grid(dim=2, half_width=4.0, n=17)
@@ -131,15 +131,16 @@ def test_direct_and_transform_converge_together_2d():
     assert worst[-1] < 1e-3
 
 
-def test_2d_transform_block_ignores_blas_threads(tmp_path):
-    # a dense sine matrix would route the solve through BLAS, whose bits
-    # change with its thread count; the block must not
+def test_2d_blocks_of_both_routes_ignore_blas_threads(tmp_path):
+    # a dense sine matrix would route the transform solve through BLAS, whose bits change
+    # with its thread count, and above its block size dpbtrf factors the direct route's band
+    # with level-3 BLAS; neither block may change
     script = textwrap.dedent("""
         import sys
         import numpy as np
         from stochrd import (Grid, canonical_cubic, periodic_bump_forcing,
                              sample_two_sided_path)
-        from stochrd.solver import _Column, _integrate
+        from stochrd.solver import _Column, _Direct, _integrate, _Transform
 
         grid = Grid(dim=2, half_width=8.0, n=129)
         spec = canonical_cubic(alpha=0.5, forcing=periodic_bump_forcing(0.05))
@@ -147,7 +148,8 @@ def test_2d_transform_block_ignores_blas_threads(tmp_path):
         rng = np.random.default_rng(0)
         cols = [_Column(rng.uniform(-1.0, 1.0, grid.shape), 0.0, 0.05, path, a, 0.25)
                 for a in (0.0, 0.5, 1.0)]
-        np.save(sys.argv[1], _integrate(cols, spec, grid, 5e-3)[1])
+        np.save(sys.argv[1], [_integrate(cols, spec, grid, 5e-3, scheme)[1]
+                              for scheme in (_Transform, _Direct)])
     """)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     ends = []
@@ -158,19 +160,19 @@ def test_2d_transform_block_ignores_blas_threads(tmp_path):
         subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True,
                        timeout=120)
         ends.append(np.load(out))
-    assert ends[0].shape == (3, 129, 129) and np.all(np.isfinite(ends[0]))
+    assert ends[0].shape == (2, 3, 129, 129) and np.all(np.isfinite(ends[0]))
     assert ends[0].tobytes() == ends[1].tobytes()
 
 
 @pytest.mark.parametrize("n", [3, 5, 17, 33])
 @pytest.mark.parametrize("k", [1, 3])
-def test_sine_factor_matches_sparse_lu(n, k):
-    # one sine axis and one chained tridiagonal solve against the oracle's sparse LU, down
-    # to n = 3, where the chain is one mode of one unknown
+def test_sine_factor_matches_banded_cholesky(n, k):
+    # one sine axis and one chained tridiagonal solve against the oracle's banded Cholesky,
+    # down to n = 3, where the chain is one mode of one unknown
     grid = Grid(dim=2, half_width=4.0, n=n)
     rhs = np.random.default_rng(n * k).uniform(-1.0, 1.0, (k,) + grid.shape)[:, 1:-1, 1:-1]
     # each factor overwrites the block it solves, so the oracle gets its own copy
-    want = _SparseFactor(grid, 0.7, 2e-3).solve(rhs.copy())
+    want = _BandedFactor(grid, 0.7, 2e-3).solve(rhs.copy())
     got = _SineFactor(grid, 0.7, 2e-3).solve(rhs)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -183,13 +185,15 @@ def _dense_operator(grid, lam, dt):
     return (1.0 + dt * lam) * np.eye(m**grid.dim) + lap
 
 
-@pytest.mark.parametrize("factor", [_TridiagonalFactor, _BandedFactor, _SineFactor,
-                                    _SparseFactor])
+@pytest.mark.parametrize("factor, dim", [(_TridiagonalFactor, 1), (_BandedFactor, 1),
+                                         (_SineFactor, 2), (_BandedFactor, 2)],
+                         ids=["_TridiagonalFactor", "_BandedFactor", "_SineFactor",
+                              "_BandedFactor-2d"])
 @pytest.mark.parametrize("n", [3, 17])
 @pytest.mark.parametrize("k", [1, 3])
-def test_every_factor_solves_in_place(factor, n, k):
-    # a step hands its factor a C-ordered (K,) + interior row of the state buffer
-    dim = 2 if factor in (_SineFactor, _SparseFactor) else 1
+def test_every_factor_solves_in_place(factor, dim, n, k):
+    # a step hands its factor a C-ordered (K,) + interior row of the state buffer; at n = 3
+    # a 2-d factor has one unknown
     grid = Grid(dim=dim, half_width=4.0, n=n)
     b = np.random.default_rng(n * k).uniform(-1.0, 1.0, (k,) + (n - 2,) * dim)
     rhs = b.copy()
