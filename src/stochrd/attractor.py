@@ -46,7 +46,7 @@ from .fields import (Field, Grid, _l2_distances, _l2_sq_rows, norms, read_field_
 from .model import ModelSpec
 from .report import _write_csv, _write_json
 from .solver import _Column, _integrate
-from .wiener import WienerPath, quad_exp, sample_two_sided_path, shift_path
+from .wiener import DEFAULT_QUAD_STEP, WienerPath, quad_exp, sample_two_sided_path, shift_path
 
 #: resolution at which pullback endpoint sets are deduplicated
 _DEDUP_TOL = 1e-9
@@ -58,7 +58,7 @@ class AbsorbingSpec:
 
     c_abs: float = 2.0
     s_trunc: float = 40.0
-    step: float = 0.01
+    step: float = DEFAULT_QUAD_STEP
 
     def __post_init__(self):
         if not self.c_abs > 0:
@@ -442,8 +442,9 @@ def calibrate_c(spec: ModelSpec, grid: Grid) -> float:
     ends = _pullback_ends([(0.0, seed, path) for seed, path in zip(_CAL_SEEDS, paths)],
                           _CAL_ALPHAS, spec, grid, [_CAL_DEPTH], _CAL_MEMBERS, _CAL_FAMILY,
                           unit, _CAL_DT, 1)
-    m_units = [absorbing_radius(0.0, path, alpha, spec, unit, grid)
-               for path in paths for alpha in _CAL_ALPHAS for _ in range(_CAL_MEMBERS)]
+    # one radius per (path, intensity), shared by that pair's members
+    m_units = np.repeat([absorbing_radius(0.0, path, alpha, spec, unit, grid)
+                         for path in paths for alpha in _CAL_ALPHAS], _CAL_MEMBERS)
     needed = max(float(r) / m for r, m in zip(np.sqrt(_l2_sq_rows(ends, grid)), m_units))
     c = _C_FLOOR
     while c <= _C_CAP:

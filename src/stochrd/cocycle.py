@@ -33,6 +33,7 @@ O(dt) tolerance is meaningful uniformly in the horizon.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -58,7 +59,7 @@ class CocycleQuery:
     alpha: float | None = None
 
     def __post_init__(self):
-        if self.t < 0:
+        if not self.t >= 0:
             raise ValueError("elapsed time must be nonnegative")
 
     def resolve(self, spec: ModelSpec) -> ModelSpec:
@@ -130,21 +131,15 @@ def periodic_cocycle_check(spec: ModelSpec, t: float, tau: float,
 def _memory_trapz(f: np.ndarray, lam: float, dt: float) -> np.ndarray:
     """Trapezoid sums I_k of e^{lam (s - t_k)} f(s) over [t_0, t_k].
 
-    Built by the recursion I_k = e^{-lam dt} I_{k-1} + dt/2 (f_k + e^{-lam dt} f_{k-1}),
-    I_0 = 0, whose weights never exceed one, so no horizon overflows.  It runs in Python
-    floats over _ROWS values at a time, so no whole-ledger list is built.
+    Built by the recursion I_k = q I_{k-1} + dt/2 (f_k + q f_{k-1}), q = e^{-lam dt}, I_0 = 0,
+    whose weights never exceed one, so no horizon overflows: one accumulate over the array
+    of terms, in Python floats converted _ROWS at a time, so no whole-ledger list is built.
     """
     q = float(np.exp(-lam * dt))
-    half = 0.5 * dt
-    out = np.zeros(len(f))
-    acc = 0.0
-    for lo in range(1, len(f), _ROWS):  # out[lo:lo + _ROWS] from f[lo - 1:lo + _ROWS]
-        vals, seg = f[lo - 1:lo + _ROWS].tolist(), []
-        for prev, cur in zip(vals, vals[1:]):
-            acc = q * acc + half * (cur + q * prev)
-            seg.append(acc)
-        out[lo:lo + len(seg)] = seg
-    return out
+    terms = 0.5 * dt * (f[1:] + q * f[:-1])
+    floats = chain.from_iterable(terms[lo:lo + _ROWS].tolist()
+                                 for lo in range(0, len(terms), _ROWS))
+    return np.fromiter(accumulate(floats, lambda acc, x: q * acc + x, initial=0.0), float, len(f))
 
 
 def energy_certificate(rec: TrajectoryRecord, spec: ModelSpec,

@@ -227,7 +227,7 @@ def tail_mass(field: Field, k: float) -> float:
     and equal to the full squared L2 norm as k -> 0+ (up to the single
     excluded origin node).
     """
-    if k < 0:
+    if not k >= 0:
         raise ValueError("k must be nonnegative")
     return float(_l2_sq_rows(field.values[None, field.grid.radius() >= k], field.grid)[0])
 

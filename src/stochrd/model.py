@@ -27,7 +27,7 @@ import numpy as np
 
 from .fields import Field, Grid, _l2_sq_rows
 from .report import CertificateReport, _verdict
-from .wiener import _whole_steps, quad_exp
+from .wiener import DEFAULT_QUAD_STEP, quad_exp
 
 _TWO_PI = 2.0 * math.pi
 
@@ -249,9 +249,9 @@ class ModelSpec:
             raise ValueError("p must be >= 2")
         if not (self.alpha1 > 0 and self.alpha2 > 0):
             raise ValueError("alpha1, alpha2 must be positive")
-        if self.alpha3 < 0:
+        if not self.alpha3 >= 0:
             raise ValueError("alpha3 must be nonnegative")
-        if self.growth_c < 0:
+        if not self.growth_c >= 0:
             raise ValueError("growth_c must be nonnegative")
         if not 0.0 <= self.delta < self.lam:
             raise ValueError("delta must lie in [0, lam)")
@@ -361,15 +361,6 @@ def validate_dissipativity(spec: ModelSpec) -> CertificateReport:
 # -- tempered forcing checks --------------------------------------------------
 
 
-def _memory_integral(forcing: ForcingSpec, tau: float, delta: float, s_trunc: float, step: float, grid: Grid) -> float:
-    """Truncated integral of exp(delta*s) * |g(s + tau)|_{L2}^2 over [-s_trunc, 0]."""
-    if delta > 0:
-        return quad_exp(lambda s: forcing.l2norm_sq(s + tau, grid), delta, s_trunc, step)
-    m = _whole_steps(s_trunc, step, "s_trunc")
-    s = -s_trunc + step * np.arange(m + 1)
-    return float(np.trapezoid(forcing.l2norm_sq(s + tau, grid), dx=step))
-
-
 def check_g_tempered(
     forcing: ForcingSpec,
     delta: float,
@@ -377,9 +368,12 @@ def check_g_tempered(
     probe_times,
     grid: Grid,
     s_trunc: float = 40.0,
-    step: float = 0.01,
+    step: float = DEFAULT_QUAD_STEP,
 ) -> CertificateReport:
     """Check the two integral conditions on the forcing.
+
+    Both read the memory integral of exp(delta*s) * |g(s + tau)|_{L2}^2 truncated
+    at a depth, by quad_exp at the given step; delta must be >= 0 (a NaN raises first).
 
     Finiteness: at every probe time tau the truncated memory integral at
     depth s_trunc and at depth 2*s_trunc must agree to relative growth
@@ -396,7 +390,7 @@ def check_g_tempered(
     growth_tol, decay_tol = 0.02, 1e-3
     if not c_probe > 0:
         raise ValueError("c_probe must be positive")
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError("delta must be nonnegative")
     if not s_trunc > 0:
         raise ValueError("s_trunc must be positive")
@@ -405,8 +399,8 @@ def check_g_tempered(
     margins, where = [], []
 
     for tau in probe_times:
-        i1 = _memory_integral(forcing, tau, delta, s_trunc, step, grid)
-        i2 = _memory_integral(forcing, tau, delta, 2.0 * s_trunc, step, grid)
+        i1 = quad_exp(lambda s: forcing.l2norm_sq(s + tau, grid), delta, s_trunc, step)
+        i2 = quad_exp(lambda s: forcing.l2norm_sq(s + tau, grid), delta, 2.0 * s_trunc, step)
         scale = max(abs(i1), 1e-300)
         rel_growth = (i2 - i1) / scale
         try:
@@ -425,9 +419,9 @@ def check_g_tempered(
     if not decay_probes:
         decay_probes = [-s_trunc / 4.0, -s_trunc / 2.0, -3.0 * s_trunc / 4.0]
     evals = []
-    for t in decay_probes:
-        i_t = _memory_integral(forcing, t, delta, s_trunc, step, grid)
-        evals.append(math.exp(c_probe * t) * i_t)
+    for tau in decay_probes:
+        i_t = quad_exp(lambda s: forcing.l2norm_sq(s + tau, grid), delta, s_trunc, step)
+        evals.append(math.exp(c_probe * tau) * i_t)
     details["decay_times"] = decay_probes
     details["decay_values"] = evals
     first = max(evals[0], 1e-300)

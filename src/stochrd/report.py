@@ -56,10 +56,20 @@ def _verdict(name, margins, where, tolerance, details) -> CertificateReport:
 
 
 def _write_json(path, obj) -> None:
-    """The JSON artifact format: two-space indent, sorted keys, a final newline."""
+    """The JSON artifact format: two-space indent, sorted keys, a final newline, and a
+    float that is not finite written as null, since JSON (RFC 8259) has no NaN or Infinity."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(_finite(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def _finite(obj):
+    """obj with every float in its values that is not finite replaced by None."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return None if isinstance(obj, float) and not np.isfinite(obj) else obj
 
 
 def _write_csv(path, header, rows) -> None:

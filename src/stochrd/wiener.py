@@ -209,24 +209,14 @@ def quad_exp(
 ) -> float:
     """Trapezoidal value of the memory integral of exp(rate*s) * h(s) over [-s_trunc, 0].
 
-    The infinite-memory integral over (-inf, 0] is truncated at -s_trunc;
-    for bounded h the truncation error is at most
-    sup|h| * exp(-rate * s_trunc) / rate.
-
-    Parameters
-    ----------
-    h : callable
-        Sample function evaluated on the grid of [-s_trunc, 0]; must accept
-        an ndarray of times.
-    rate : float
-        Exponential decay rate, must be positive.
-    s_trunc : float
-        Truncation depth, positive multiple of step.
-    step : float
-        Quadrature grid step.
+    The package's one memory quadrature.  h takes the ndarray of grid times of
+    [-s_trunc, 0], s_trunc a positive whole number of steps, and returns one value per
+    time; rate must be >= 0, and a NaN rate is rejected too.  The integral over (-inf, 0]
+    is truncated at -s_trunc, and for bounded h and rate > 0 the truncation error is at
+    most sup|h| * exp(-rate * s_trunc) / rate.  At rate 0 every weight is exactly 1.
     """
-    if not rate > 0:
-        raise ValueError("rate must be positive")
+    if not rate >= 0:
+        raise ValueError("rate must be nonnegative")
     if not s_trunc > 0:
         raise ValueError("s_trunc must be positive")
     m = _whole_steps(s_trunc, step, "s_trunc")

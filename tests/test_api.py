@@ -137,6 +137,12 @@ def test_grid_tolerance_is_read_only_by_snap():
     assert _loaded_in("_GRID_RTOL") == ["wiener._snap"]
 
 
+def test_trapezoids_are_summed_only_by_quad_exp_and_h1_certificate():
+    # one truncated memory quadrature: the radii and the tempered-forcing check call
+    # quad_exp, and the only other trapezoid is the gradient certificate's unit window
+    assert _loaded_in("trapezoid", called=True) == ["cocycle.h1_certificate", "wiener.quad_exp"]
+
+
 def test_path_and_forcing_clock_are_read_only_by_tables():
     # one reader: the solver evaluates a column's path and forcing clock only for its
     # step tables, and records take their ledger rows from those tables

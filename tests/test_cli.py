@@ -140,6 +140,22 @@ def test_check_model_passes_and_fails(tmp_path, capsys):
     assert reports["pass"] is False
 
 
+def test_overflowing_forcing_report_is_strict_json(tmp_path):
+    # |g|^2 = 1.69e308 is finite, so the config passes; its integrals overflow, and the
+    # report held bare NaN and Infinity tokens
+    text = "[model]\nforcing_amplitude = 1.3e154\n\n[grid]\nn = 33\n"
+    assert execute("check-model", load_config(write_config(tmp_path, text)),
+                   str(tmp_path / "out")) == 1
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    report = json.loads((tmp_path / "out" / "forcing_report.json").read_text(),
+                        parse_constant=reject)
+    assert report["pass"] is False and report["worst_margin"] is None
+    assert None in report["details"]["decay_values"]
+
+
 def test_simulate_and_certify(tmp_path):
     cfg = load_config(write_config(tmp_path))
     out = tmp_path / "sim"
@@ -230,6 +246,12 @@ def test_artifact_writers_exact_bytes(tmp_path):
     assert (tmp_path / "a.json").read_bytes() == (
         b'{\n  "a": {\n    "b": true,\n    "k": null\n  },\n'
         b'  "z": [\n    -0.0,\n    5e-324,\n    0.1,\n    1e+300,\n    7\n  ]\n}\n')
+    # JSON has no NaN or Infinity: a float that is not finite is written as null
+    _write_json(tmp_path / "b.json", {"v": (float("nan"), float("inf"), float("-inf"))})
+    assert (tmp_path / "b.json").read_bytes() == (
+        b'{\n  "v": [\n    null,\n    null,\n    null\n  ]\n}\n')
+    with pytest.raises(TypeError):  # what json cannot encode still raises
+        _write_json(tmp_path / "c.json", {"v": object()})
 
 
 def _read_csv(path):

@@ -1,10 +1,15 @@
 """Problem data: reaction families, forcing, and the structural checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.integrate
 
+import stochrd.model
 from stochrd import (
+    CocycleQuery,
+    Field,
     ForcingSpec,
     Grid,
     ModelSpec,
@@ -16,10 +21,13 @@ from stochrd import (
     g_eval,
     norms,
     periodic_bump_forcing,
+    sample_two_sided_path,
+    tail_mass,
     validate_dissipativity,
 )
 
 G = Grid(dim=1, half_width=8.0, n=257)
+NAN = float("nan")
 
 
 # -- profiles ----------------------------------------------------------------
@@ -78,7 +86,6 @@ def test_canonical_model_satisfies_conditions():
 
 def test_anticubic_fails_dissipativity():
     spec = canonical_cubic(alpha=0.5)
-    import dataclasses
     bad = dataclasses.replace(spec, f=Nonlinearity("anticubic"))
     rep = validate_dissipativity(bad)
     assert not rep.passed
@@ -88,7 +95,6 @@ def test_anticubic_fails_dissipativity():
 
 def test_zero_reaction_fails_without_comparison_profile():
     # f = 0 cannot dominate alpha1 |s|^p with psi1 = 0
-    import dataclasses
     spec = dataclasses.replace(canonical_cubic(), f=Nonlinearity("zero"))
     rep = validate_dissipativity(spec)
     assert not rep.passed
@@ -98,7 +104,6 @@ def test_zero_reaction_fails_without_comparison_profile():
 def test_custom_reaction_uses_finite_differences():
     # same cubic supplied as a bare callable: slopes come from central
     # differences and must still clear the tolerance
-    import dataclasses
     custom = Nonlinearity("custom", fn=lambda x, s: -(s**3))
     spec = dataclasses.replace(canonical_cubic(), f=custom)
     rep = validate_dissipativity(spec)
@@ -240,6 +245,30 @@ def test_tempered_check_validation():
         check_g_tempered(forcing, delta=-0.1, c_probe=1.0, probe_times=[0.0], grid=G)
 
 
+def test_tempered_check_rejects_a_nan_delta(monkeypatch):
+    # a NaN delta passed `delta < 0` and was integrated as delta = 0
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature before the boundary check")
+
+    monkeypatch.setattr(stochrd.model, "quad_exp", no_quadrature)
+    with pytest.raises(ValueError, match="delta"):
+        check_g_tempered(periodic_bump_forcing(0.05), delta=float("nan"), c_probe=1.0,
+                         probe_times=[0.0], grid=G)
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: dataclasses.replace(canonical_cubic(), alpha3=NAN), "alpha3"),
+    (lambda: dataclasses.replace(canonical_cubic(), growth_c=NAN), "growth_c"),
+    (lambda: tail_mass(Field.zeros(G), NAN), "k must"),
+    (lambda: CocycleQuery(NAN, 0.0, sample_two_sided_path(1, 1.0, 0.01), Field.zeros(G)),
+     "elapsed time"),
+], ids=["alpha3", "growth_c", "tail_mass-k", "cocycle-t"])
+def test_nan_arguments_are_rejected(call, named):
+    # each check read x < 0, which a NaN fails, so the NaN got through
+    with pytest.raises(ValueError, match=named):
+        call()
+
+
 @pytest.mark.parametrize("delta", [0.0, 0.5])
 @pytest.mark.parametrize("s_trunc", [0.0, -1.0])
 def test_tempered_check_needs_a_positive_depth(delta, s_trunc):
@@ -251,7 +280,6 @@ def test_tempered_check_needs_a_positive_depth(delta, s_trunc):
 
 def test_nan_reaction_fails_dissipativity():
     # every condition is NaN at |s| > 9.9; the report passed with an infinite margin
-    import dataclasses
     spec = dataclasses.replace(canonical_cubic(), f=Nonlinearity(
         "custom", fn=lambda x, s: np.where(np.abs(s) > 9.9, np.nan, -s**3)))
     with np.errstate(invalid="ignore"):

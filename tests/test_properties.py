@@ -52,11 +52,11 @@ from stochrd import (
 from stochrd import solver
 from stochrd.attractor import _dedup
 from stochrd.fields import _h1_sq_rows, _l2_distances, _l2_sq_rows, _lp_p_rows
-from stochrd.model import _memory_integral, _profile_norm_sq
+from stochrd.model import _profile_norm_sq
 from stochrd.report import _verdict
 from stochrd.solver import (_BandedFactor, _Column, _Direct, _integrate, _records,
                            _SineFactor, _Transform)
-from stochrd.wiener import _whole_steps, _window
+from stochrd.wiener import _whole_steps, _window, quad_exp
 
 DT = 1e-2
 PATH = sample_two_sided_path(11, 2.0, DT)
@@ -264,10 +264,10 @@ def test_from_samples_and_memory_integral_follow_the_rule():
         WienerPath.from_samples(np.zeros(5), 1.0, -1.5)
     forcing = periodic_bump_forcing(0.05)
     grid = Grid(dim=1, half_width=8.0, n=17)
-    for delta in (0.0, 0.5):
-        assert _memory_integral(forcing, 0.0, delta, 40.0, 0.01, grid) > 0.0
+    for delta in (0.0, 0.5):  # the memory quadrature, at rate 0 and at a positive rate
+        assert quad_exp(lambda s: forcing.l2norm_sq(s, grid), delta, 40.0, 0.01) > 0.0
         with pytest.raises(ValueError, match="s_trunc"):
-            _memory_integral(forcing, 0.0, delta, 40.005, 0.01, grid)
+            quad_exp(lambda s: forcing.l2norm_sq(s, grid), delta, 40.005, 0.01)
 
 
 # -- the L2 kernel and the set distances --------------------------------------------------

@@ -171,12 +171,23 @@ def test_quad_exp_monotone_in_truncation():
 
 
 def test_quad_exp_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        quad_exp(lambda s: np.ones_like(s), 0.0, 10.0)
+    for rate in (-1.0, float("nan")):  # a NaN rate fails every comparison
+        with pytest.raises(ValueError, match="rate"):
+            quad_exp(lambda s: np.ones_like(s), rate, 10.0)
     with pytest.raises(ValueError):
         quad_exp(lambda s: np.ones_like(s), 1.0, -1.0)
     with pytest.raises(ValueError):
         quad_exp(lambda s: 1.0, 1.0, 10.0)  # scalar return, wrong shape
+
+
+def test_quad_exp_at_rate_zero_is_the_plain_trapezoid():
+    # every weight exp(0 * s) is exactly 1, so the bits are the trapezoid's
+    def h(s):
+        return np.cos(3.0 * s) + 0.1 * s * s
+
+    step = 0.005
+    s = -10.0 + step * np.arange(2001)
+    assert quad_exp(h, 0.0, 10.0, step) == float(np.trapezoid(h(s), dx=step))
 
 
 def test_sublinearity_square_root_growth():
