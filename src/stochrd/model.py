@@ -374,6 +374,7 @@ def check_g_tempered(
 
     Both read the memory integral of exp(delta*s) * |g(s + tau)|_{L2}^2 truncated
     at a depth, by quad_exp at the given step; delta must be >= 0 (a NaN raises first).
+    Each probe's integral at depth s_trunc is taken once and serves both checks.
 
     Finiteness: at every probe time tau the truncated memory integral at
     depth s_trunc and at depth 2*s_trunc must agree to relative growth
@@ -398,9 +399,13 @@ def check_g_tempered(
     details: dict = {"probes": {}}
     margins, where = [], []
 
+    def memory(tau, depth):
+        return quad_exp(lambda s: forcing.l2norm_sq(s + tau, grid), delta, depth, step)
+
+    shallow = {}  # each probe's depth-s_trunc integral, which the decay check reads too
     for tau in probe_times:
-        i1 = quad_exp(lambda s: forcing.l2norm_sq(s + tau, grid), delta, s_trunc, step)
-        i2 = quad_exp(lambda s: forcing.l2norm_sq(s + tau, grid), delta, 2.0 * s_trunc, step)
+        i1 = shallow[tau] = memory(tau, s_trunc)
+        i2 = memory(tau, 2.0 * s_trunc)
         scale = max(abs(i1), 1e-300)
         rel_growth = (i2 - i1) / scale
         try:
@@ -418,10 +423,8 @@ def check_g_tempered(
     decay_probes = sorted((t for t in probe_times if t < 0), reverse=True)
     if not decay_probes:
         decay_probes = [-s_trunc / 4.0, -s_trunc / 2.0, -3.0 * s_trunc / 4.0]
-    evals = []
-    for tau in decay_probes:
-        i_t = quad_exp(lambda s: forcing.l2norm_sq(s + tau, grid), delta, s_trunc, step)
-        evals.append(math.exp(c_probe * tau) * i_t)
+        shallow = {tau: memory(tau, s_trunc) for tau in decay_probes}
+    evals = [math.exp(c_probe * tau) * shallow[tau] for tau in decay_probes]
     details["decay_times"] = decay_probes
     details["decay_values"] = evals
     first = max(evals[0], 1e-300)

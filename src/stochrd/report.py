@@ -39,7 +39,7 @@ class CertificateReport:
             "location_t": None if self.location is None else float(self.location),
         }
         if self.details:
-            d["details"] = _plain(self.details)
+            d["details"] = self.details
         return d
 
     def write_json(self, path) -> None:
@@ -64,11 +64,14 @@ def _write_json(path, obj) -> None:
 
 
 def _finite(obj):
-    """obj with every float in its values that is not finite replaced by None."""
+    """obj with numpy arrays and scalars as Python values (.tolist()) and every float in its
+    values that is not finite replaced by None; what JSON cannot encode is left to raise."""
     if isinstance(obj, dict):
         return {k: _finite(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_finite(v) for v in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _finite(obj.tolist())
     return None if isinstance(obj, float) and not np.isfinite(obj) else obj
 
 
@@ -87,15 +90,3 @@ def _rows(*columns):
     for lo in range(0, len(columns[0]), _ROWS):
         yield from zip(*(c[lo:lo + _ROWS].tolist() for c in columns))
 
-
-def _plain(obj):
-    """Coerce numpy scalars and arrays to plain JSON-serializable types."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if hasattr(obj, "tolist"):
-        return obj.tolist()
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
-        return obj
-    return str(obj)

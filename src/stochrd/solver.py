@@ -23,23 +23,23 @@ Both routes run through one integrator core, _integrate, which advances
 a C-ordered (K, n) block of columns, one trajectory per row.  The
 columns share the grid, the step, the damping, the reaction and the
 forcing profile; each has its own initial state, step count, path
-weights and forcing clock.  Columns end together: the longest run
-starts first and shorter ones join the active prefix of the block when
-their remaining step count is reached, so a column costs nothing
-before it starts.  A scheme returns one runner per table window and
-per join, which steps a whole segment of buffer rows: coefficients are
-prebuilt rows (a float for one column, an (a, 1[, 1]) view for a > 1),
-the reaction is its family's in-place kernel and the forcing one
-product per segment, so a step is a few in-place ufunc calls and one
-solve for the whole active block.  A buffer row holds interior nodes
-only, a C-ordered (K,) + interior block: the right-hand side is
-assembled in the destination row and solved there, in 1-d by LAPACK
-dpttrs (dpttrf factored once per integration), in 2-d by one type-I sine
-transform along one axis, one chained dpttrs solve along the other and
-the inverse transform (Hockney's method).  No column's arithmetic
-depends on another, so column j equals a K = 1 run bit for bit.
-Weights and forcing amplitudes are tabulated per column in windows of
-_WINDOW steps counted back from the common end, so the tables stay
+weights and forcing clock.  Columns end together: the longest run starts
+first and shorter ones join the active prefix of the block when their
+remaining step count is reached, so a column costs nothing before it
+starts.  A chunk of steps ends at the next join, and a scheme returns
+one runner per table window and per join, which steps a whole chunk of
+buffer rows: coefficients are prebuilt rows (a float for one column, an
+(a, 1[, 1]) view for a > 1), the reaction is its family's in-place
+kernel and the forcing one product per chunk, so a step is a few
+in-place ufunc calls and one solve for the whole active block.  A buffer
+row holds interior nodes only, a C-ordered (K,) + interior block: the
+right-hand side is assembled in the destination row and solved there, in
+1-d by LAPACK dpttrs (dpttrf factored once per integration), in 2-d by
+one type-I sine transform along one axis, one chained dpttrs solve along
+the other and the inverse transform (Hockney's method).  No column's
+arithmetic depends on another, so column j equals a K = 1 run bit for
+bit.  Weights and forcing amplitudes are tabulated per column in windows
+of _WINDOW steps counted back from the common end, so the tables stay
 small at any horizon and a column sees the same windows alone as in a
 block.  The direct route solves by banded Cholesky in every dimension
 (LAPACK dpbtrf once, one dpbtrs call per block) and shares no solver
@@ -47,13 +47,13 @@ with the transform route's LDL^T; each scheme names its factor per
 dimension in its `factors` pair.
 
 Steps write a buffer of consecutive states (at most _CHUNK floats, never
-across a table window) into a padded mirror that keeps the boundary
-ring; the finite check and the observe hook of _integrate read the
-mirror, one row-kernel call per quantity.  An unobserved transform run
-first tests the chunk's states against a bound under which every |v|^2
-is finite: when they pass, only the latest state is copied and no norm
-is formed; when they do not, and in observed and direct runs, the whole
-chunk is copied and checked by its norms.  The step segments of the
+across a table window or a join) into a padded mirror that keeps the
+boundary ring; the finite check and the observe hook of _integrate read
+the mirror, one row-kernel call per quantity.  An unobserved transform
+run first tests the chunk's states against a bound under which every
+|v|^2 is finite: when they pass, only the latest state is copied and no
+norm is formed; when they do not, and in observed and direct runs, the
+whole chunk is copied and checked by its norms.  The chunks of the
 built-in reactions, whose ufunc calls are all elementwise, run with a
 16-element numpy buffer, which spares copying each broadcast (a, 1[, 1])
 coefficient into a full one; norms and custom reactions run with the
@@ -254,8 +254,8 @@ def _tables(cols, starts, spec: ModelSpec, dt: float, lo: int, hi: int):
 class _Scheme:
     """One IMEX step (reaction, forcing, implicit solve), the v, u views of its states, buf,
     the (rows, K) + interior buffer of states, and full, its padded mirror, which keeps the
-    ring.  runner(tab, a) returns run(r0, r1, i, prev), the steps of the first a columns into
-    buffer rows r0..r1 - 1: row r0 from row prev, each later row from the one before, row r
+    ring.  runner(tab, a) returns run(m, i, prev), the steps of the first a columns into
+    buffer rows 0..m - 1: row 0 from row prev, each later row from the one before, row r
     at table row i + r, each solved in place in its C-ordered row."""
 
     #: implicit factor per dimension, 1-d then 2-d; _Direct's is one banded Cholesky in both
@@ -303,16 +303,16 @@ class _Scheme:
         rows, rhs, solve, bufsize = self.views[a], self.rhs(tab, a), self.solve, self.bufsize
         coeff = None if self.profile is None else getattr(tab, self.amp)[:, :a][self.col]
 
-        def run(r0, r1, i, prev):
+        def run(m, i, prev):
             # the caller's size comes back below, or by _integrate's errstate on a raise
             caller = np.setbufsize(bufsize)
-            terms = () if coeff is None else np.multiply(  # the segment's forcing terms
-                coeff[i + r0:i + r1], self.profile, out=self.forcing[:r1 - r0, :a])
-            for r in range(r0, r1):
+            terms = () if coeff is None else np.multiply(  # the chunk's forcing terms
+                coeff[i:i + m], self.profile, out=self.forcing[:m, :a])
+            for r in range(m):
                 dst = rows[r]
                 rhs(i + r, rows[prev], dst)
                 if coeff is not None:
-                    np.add(dst, terms[r - r0], out=dst)
+                    np.add(dst, terms[r], out=dst)
                 solve(dst)
                 prev = r
             np.setbufsize(caller)
@@ -396,7 +396,9 @@ def _integrate(columns, spec: ModelSpec, grid: Grid, dt: float, scheme: type = _
     per chunk of states, on (rows, K, ...) blocks in block order from ledger index g, where
     a column that has not started holds its first state; z and amp are the chunk's
     (rows, K) table rows of path weights and forcing amplitudes, 1 and 0 before a
-    column's start.  Before a DivergenceError, observe sees the finite prefix.
+    column's start.  A chunk ends at the next join, which runs before the chunk's check, so
+    a joining column's start state is checked and observed as its first ledger entry.
+    Before a DivergenceError, observe sees the finite prefix.
     Without observe, a transform run's check first tests the chunk's states, and the
     boundary ring of every start, against bound: each |v|^2 is then finite, as the scan
     would find, and only the latest state is copied to the mirror.  A chunk that fails
@@ -467,18 +469,15 @@ def _integrate(columns, spec: ModelSpec, grid: Grid, dt: float, scheme: type = _
                 join(0, tab, 0)
                 check(0, 1, tab, 0)
             run = sch.runner(tab, active)  # and again whenever the active prefix grows
-            for g in range(lo, hi, len(buf)):
-                m = min(len(buf), hi - g)
-                r = 0
-                while r < m:  # up to the next join
-                    e = min(m, starts[active] - g)
-                    run(r, e, g - lo, r - 1 if r else last)
-                    r = e
-                    if g + e == starts[active]:
-                        join(g + e, tab, g + e - lo)
-                        run = sch.runner(tab, active)
+            g = lo
+            while g < hi:  # a chunk ends at the buffer's end, the window's edge or a join
+                m = min(len(buf), hi - g, starts[active] - g)
+                run(m, g - lo, last)
+                if g + m == starts[active]:  # before the check, so the start state is checked
+                    join(g + m, tab, g + m - lo)
+                    run = sch.runner(tab, active)
                 check(g + 1, m, tab, g + 1 - lo)
-                last = m - 1
+                g, last = g + m, m - 1
         v, u = (f(full[last:last + 1], tab, slice(n_max - lo, None))[0] for f in (sch.v, sch.u))
     back = np.argsort(order)
     return v[back], u[back]

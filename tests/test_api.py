@@ -5,7 +5,6 @@ verdict and the pullback columns each live in one function; and the package read
 only through LAPACK and the sine transforms."""
 
 import ast
-import dataclasses
 import inspect
 import types
 from collections import defaultdict
@@ -80,7 +79,7 @@ def _public_callables():
         if inspect.isfunction(obj):
             yield name, name, obj, 0
         elif inspect.isclass(obj):
-            if not dataclasses.is_dataclass(obj) and "__init__" in vars(obj):
+            if "__init__" in vars(obj):  # a dataclass's too: its fields are parameters
                 yield name, name, obj.__init__, 1
             for attr, member in vars(obj).items():
                 if attr.startswith("_"):

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochrd import (AttractorApprox, Field, Grid, SweepResult, SweepRow, WienerPath,
-                     attractor)
+from stochrd import (AttractorApprox, CertificateReport, Field, Grid, SweepResult, SweepRow,
+                     WienerPath, attractor)
 from stochrd.cli import (_SCHEMA, ConfigError, ExperimentConfig, _run_record, execute,
                          load_config, main)
 from stochrd.report import _write_csv, _write_json
@@ -252,6 +252,16 @@ def test_artifact_writers_exact_bytes(tmp_path):
         b'{\n  "v": [\n    null,\n    null,\n    null\n  ]\n}\n')
     with pytest.raises(TypeError):  # what json cannot encode still raises
         _write_json(tmp_path / "c.json", {"v": object()})
+    # a report's details take the same walk: numpy values are written as Python values
+    details = {"a": np.float64("nan"), "b": np.arange(3), "c": np.int64(2)}
+    CertificateReport("r", True, 0.0, 0.0, details=details).write_json(tmp_path / "d.json")
+    assert (tmp_path / "d.json").read_bytes() == (
+        b'{\n  "details": {\n    "a": null,\n    "b": [\n      0,\n      1,\n      2\n    ],\n'
+        b'    "c": 2\n  },\n  "location_t": null,\n  "name": "r",\n  "pass": true,\n'
+        b'  "tolerance": 0.0,\n  "worst_margin": 0.0\n}\n')
+    with pytest.raises(TypeError):  # and a detail JSON cannot encode raises, as above
+        CertificateReport("r", True, 0.0, 0.0, details={"v": object()}).write_json(
+            tmp_path / "e.json")
 
 
 def _read_csv(path):

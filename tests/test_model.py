@@ -1,6 +1,8 @@
 """Problem data: reaction families, forcing, and the structural checks."""
 
 import dataclasses
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,12 +18,16 @@ from stochrd import (
     Nonlinearity,
     Profile,
     ZERO_FORCING,
+    ZERO_PROFILE,
     canonical_cubic,
     check_g_tempered,
+    energy_certificate,
     g_eval,
     norms,
     periodic_bump_forcing,
+    quad_exp,
     sample_two_sided_path,
+    solve_u_transform,
     tail_mass,
     validate_dissipativity,
 )
@@ -108,6 +114,51 @@ def test_custom_reaction_uses_finite_differences():
     spec = dataclasses.replace(canonical_cubic(), f=custom)
     rep = validate_dissipativity(spec)
     assert rep.passed
+
+
+BUMP = Profile("bump", amplitude=4.0, width=3.0)
+
+
+def _bump_slope(r):
+    """|b'(r)| of BUMP: b(r) * 2 (r / w) / (w (1 - (r / w)^2)^2) inside its support."""
+    q = (np.asarray(r, dtype=float) / BUMP.width) ** 2
+    inside = q < 1.0
+    q = np.where(inside, q, 0.5)
+    return np.where(inside, BUMP.eval_radius(r) * 2.0 * np.sqrt(q)
+                    / (BUMP.width * (1.0 - q) ** 2), 0.0)
+
+
+#: a bistable reaction that needs every comparison profile: f(x, s) = b(|x|) tanh(s) - s^3
+BISTABLE = ModelSpec(
+    lam=1.0, alpha=0.5, p=4.0, alpha1=0.5, alpha2=1.0, alpha3=4.0, growth_c=3.0,
+    f=Nonlinearity("custom", fn=lambda x, s: BUMP.eval_radius(np.abs(x)) * np.tanh(s) - s**3),
+    psi1=Profile("custom", amplitude=0.6, fn=lambda r: BUMP.eval_radius(r) ** (4.0 / 3.0)),
+    psi2=BUMP,
+    # 1.01 absorbs the rounding of the central-difference x-slope; |b'| alone fails at -5e-9
+    psi3=Profile("custom", amplitude=1.01, fn=_bump_slope),
+    psi4=BUMP,
+)
+
+
+def test_comparison_profiles_enter_every_condition():
+    rep = validate_dissipativity(BISTABLE)
+    assert rep.passed
+    # each profile carries its own condition: without it, that one fails
+    for psi, cond, below in (("psi1", "dissipativity", -3.0), ("psi2", "growth", -1.7),
+                             ("psi3", "x-derivative", -2.8), ("psi4", "slope-growth", -3.9)):
+        rep = validate_dissipativity(dataclasses.replace(BISTABLE, **{psi: ZERO_PROFILE}))
+        assert [c for c in ("dissipativity", "growth", "one-sided-slope", "x-derivative",
+                            "slope-growth") if not rep.details[c]["pass"]] == [cond]
+        assert not rep.passed and rep.details[cond]["margin"] < below
+
+    # the energy constant c1 = 2 int psi1 is what lets the certificate hold
+    assert BISTABLE.psi1_integral(G) == pytest.approx(12.739, abs=1e-3)
+    u0 = Field.from_function(G, lambda x: np.exp(-x * x))
+    rec = solve_u_transform(u0, 0.0, 2.0, sample_two_sided_path(7, 2.0, 1e-3), BISTABLE)
+    rep = energy_certificate(rec, BISTABLE)
+    assert rep.passed and rep.details["c1"] == 2.0 * BISTABLE.psi1_integral(G)
+    rep = energy_certificate(rec, dataclasses.replace(BISTABLE, psi1=ZERO_PROFILE))
+    assert not rep.passed and rep.worst_margin < -100.0
 
 
 # -- forcing -------------------------------------------------------------------
@@ -235,6 +286,23 @@ def test_tempered_check_at_a_late_anchor(tmp_path):
     assert rep.passed
     rep.write_json(tmp_path / "forcing_report.json")
     assert '"memory_integral": null' in (tmp_path / "forcing_report.json").read_text()
+
+
+def test_each_probe_integral_is_taken_once():
+    forcing = periodic_bump_forcing(0.05, period=1.0)
+    with mock.patch.object(stochrd.model, "quad_exp", wraps=quad_exp) as quad:
+        check_g_tempered(forcing, delta=0.5, c_probe=1.0,
+                         probe_times=[0.0, -10.0, -20.0, -30.0], grid=G)
+    assert quad.call_count == 8  # two depths per probe; the decay check reuses depth s_trunc
+
+    # no negative probe: the decay check integrates -s/4, -s/2 and -3s/4 itself
+    with mock.patch.object(stochrd.model, "quad_exp", wraps=quad_exp) as quad:
+        rep = check_g_tempered(forcing, delta=0.5, c_probe=1.0, probe_times=[0.0], grid=G)
+    assert quad.call_count == 5
+    assert rep.details["decay_times"] == [-10.0, -20.0, -30.0]
+    assert rep.details["decay_values"] == [
+        math.exp(1.0 * tau) * quad_exp(lambda s: forcing.l2norm_sq(s + tau, G), 0.5, 40.0)
+        for tau in (-10.0, -20.0, -30.0)]
 
 
 def test_tempered_check_validation():
